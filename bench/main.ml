@@ -508,7 +508,7 @@ let smoke = ref false
 let telemetry = ref false
 
 (* --domains N adds a sharded section to the runtime benchmark: the same
-   workload through Runtime.process_batch_parallel for each domain count
+   workload through Runtime.process_batch at each domain count
    in {1, 2, 4, ..., N}, with per-packet equivalence against the
    sequential run enforced (CI runs --smoke --domains 2). *)
 let bench_domains = ref 1
@@ -886,7 +886,12 @@ let bench_runtime () =
       let rt = Runtime.create ~engine:(engine_for mode) compiled in
       Nflib.Catalog.attach_handlers rt compiled;
       install_fib compiled;
-      Runtime.set_telemetry ~ring_capacity:4 rt Telemetry.Level.Journeys;
+      Runtime.configure rt
+        {
+          (Runtime.engine rt) with
+          Runtime.Engine.telemetry = Telemetry.Level.Journeys;
+          ring_capacity = 4;
+        };
       rt
     in
     let frt = mk Asic.Chip.Fast and rrt = mk Asic.Chip.Reference in
@@ -954,7 +959,8 @@ let bench_runtime () =
     let rt = Runtime.create compiled in
     Nflib.Catalog.attach_handlers rt compiled;
     install_fib compiled;
-    Runtime.set_telemetry rt Telemetry.Level.Counters;
+    Runtime.configure rt
+      { (Runtime.engine rt) with Runtime.Engine.telemetry = Telemetry.Level.Counters };
     let t0 = Unix.gettimeofday () in
     let stats = Runtime.process_batch rt workload in
     (Unix.gettimeofday () -. t0, stats, rt)
@@ -1111,7 +1117,7 @@ let bench_runtime () =
   let parallel_results =
     if !bench_domains <= 1 then []
     else begin
-      Format.printf "@.sharded data plane (process_batch_parallel):@.";
+      Format.printf "@.sharded data plane (process_batch at domains k):@.";
       Format.printf "%-12s %12s %14s %12s@." "domains" "wall (ms)" "pkts/sec"
         "ns/pkt";
       let fresh_runtime ~domains =
@@ -1149,7 +1155,7 @@ let bench_runtime () =
               (fun acc _ ->
                 let rt = fresh_runtime ~domains:d in
                 let t0 = Unix.gettimeofday () in
-                ignore (Runtime.process_batch_parallel rt workload);
+                ignore (Runtime.process_batch rt workload);
                 min acc (Unix.gettimeofday () -. t0))
               infinity (List.init runs Fun.id)
           in
@@ -1157,7 +1163,7 @@ let bench_runtime () =
           let rt = fresh_runtime ~domains:d in
           let sigs = Array.make npkts "" in
           let stats =
-            Runtime.process_batch_parallel
+            Runtime.process_batch
               ~each:(fun i r -> sigs.(i) <- signature_of r)
               rt workload
           in
@@ -1428,7 +1434,7 @@ let bench_runtime () =
       for b = 0 to n_batches - 1 do
         let batch = traffic_batch b in
         let t0 = Unix.gettimeofday () in
-        ignore (Runtime.process_batch_parallel rt_base batch);
+        ignore (Runtime.process_batch rt_base batch);
         base_traffic_s := !base_traffic_s +. (Unix.gettimeofday () -. t0)
       done;
       (* Live run: one op batch through the front door, then one traffic
@@ -1445,7 +1451,7 @@ let bench_runtime () =
           op_s := !op_s +. (Unix.gettimeofday () -. t0);
           let batch = traffic_batch b in
           let t0 = Unix.gettimeofday () in
-          ignore (Runtime.process_batch_parallel rt_live batch);
+          ignore (Runtime.process_batch rt_live batch);
           live_traffic_s := !live_traffic_s +. (Unix.gettimeofday () -. t0))
         op_batches;
       (* Cold oracle: a fresh runtime, the whole trace applied with no
@@ -1462,8 +1468,8 @@ let bench_runtime () =
       (* And the two must forward identically from here on: the same
          probe batch under the same sharding, digest-compared. *)
       let probe = workload in
-      let p_live = Runtime.process_batch_parallel rt_live probe in
-      let p_cold = Runtime.process_batch_parallel rt_cold probe in
+      let p_live = Runtime.process_batch rt_live probe in
+      let p_cold = Runtime.process_batch rt_cold probe in
       let probe_match = p_live.Runtime.digest = p_cold.Runtime.digest in
       let ops_per_sec =
         if !op_s > 0.0 then float_of_int !applied /. !op_s else 0.0
@@ -1750,15 +1756,15 @@ let bench_runtime () =
       let mk domains = fst (scale_rt (with_state ~domains ~cache:4096 bounded)) in
       let slice a b = List.init (b - a) (fun i -> (0, scale_frame (a + i))) in
       let live = mk 2 in
-      ignore (Runtime.process_batch_parallel live (slice 0 n1));
+      ignore (Runtime.process_batch live (slice 0 n1));
       Runtime.configure live
         { (Runtime.engine live) with Runtime.Engine.domains = 4 };
-      ignore (Runtime.process_batch_parallel live (slice n1 (2 * n1)));
+      ignore (Runtime.process_batch live (slice n1 (2 * n1)));
       Runtime.configure live
         { (Runtime.engine live) with Runtime.Engine.domains = 1 };
-      ignore (Runtime.process_batch_parallel live (slice (2 * n1) (3 * n1)));
+      ignore (Runtime.process_batch live (slice (2 * n1) (3 * n1)));
       let cold = mk 1 in
-      ignore (Runtime.process_batch_parallel cold (slice 0 (3 * n1)));
+      ignore (Runtime.process_batch cold (slice 0 (3 * n1)));
       let d_live = State_store.digest (Runtime.state_stores live) in
       let d_cold = State_store.digest (Runtime.state_stores cold) in
       let reshard_ok = Int64.equal d_live d_cold in

@@ -475,7 +475,7 @@ let run_cmd =
     let compiled = or_die (compile ~strategy ~extended) in
     let rt = Runtime.create ~engine compiled in
     Nflib.Catalog.attach_handlers rt compiled;
-    let stats = Runtime.process_batch_parallel rt (mixed_workload packets) in
+    let stats = Runtime.process_batch rt (mixed_workload packets) in
     print_batch_errors stats;
     let c = stats.Runtime.counters in
     Format.printf
@@ -552,7 +552,7 @@ let churn_cmd =
     List.iter
       (fun ops ->
         ignore (Ctrl.submit q ops);
-        ignore (Runtime.process_batch_parallel rt traffic))
+        ignore (Runtime.process_batch rt traffic))
       batches;
     let wall = Unix.gettimeofday () -. t0 in
     let failed =
@@ -664,13 +664,14 @@ let stats_cmd =
   let run strategy extended packets level json n_journeys entries engine
       prometheus jsonl postcards =
     let compiled = or_die (compile ~strategy ~extended) in
-    let rt = Runtime.create ~engine compiled in
-    Nflib.Catalog.attach_handlers rt compiled;
     let level =
       if n_journeys > 0 || postcards then Telemetry.Level.Journeys else level
     in
-    Runtime.set_telemetry rt level;
-    let stats = Runtime.process_batch_parallel rt (mixed_workload packets) in
+    let rt =
+      Runtime.create ~engine:{ engine with Runtime.Engine.telemetry = level } compiled
+    in
+    Nflib.Catalog.attach_handlers rt compiled;
+    let stats = Runtime.process_batch rt (mixed_workload packets) in
     print_batch_errors stats;
     if prometheus || jsonl then begin
       (* Machine-readable modes print the export and nothing else. *)
@@ -728,19 +729,17 @@ let stats_cmd =
           end
         end;
         (if postcards then
-           match Runtime.int_sink rt with
-           | None -> ()
-           | Some sink ->
-               if json then
-                 print_string
-                   ("[\n"
-                   ^ String.concat ",\n"
-                       (List.map Telemetry.Int_report.summary_to_json
-                          (Telemetry.Int_report.summaries sink))
-                   ^ "\n]\n")
-               else
-                 Format.printf "@.INT postcards per flow:@.%a@."
-                   Telemetry.Int_report.pp_summaries sink);
+           let sink = Observe.int_sink o in
+           if json then
+             print_string
+               ("[\n"
+               ^ String.concat ",\n"
+                   (List.map Telemetry.Int_report.summary_to_json
+                      (Telemetry.Int_report.summaries sink))
+               ^ "\n]\n")
+           else
+             Format.printf "@.INT postcards per flow:@.%a@."
+               Telemetry.Int_report.pp_summaries sink);
         print_cache_stats rt;
         print_state_stats rt
   in
@@ -777,14 +776,17 @@ let top_cmd =
     let domains = engine.Runtime.Engine.domains in
     let cache = engine.Runtime.Engine.cache <> Runtime.Engine.Off in
     let compiled = or_die (compile ~strategy ~extended) in
-    let rt = Runtime.create ~engine compiled in
+    let rt =
+      Runtime.create
+        ~engine:{ engine with Runtime.Engine.telemetry = Telemetry.Level.Counters }
+        compiled
+    in
     Nflib.Catalog.attach_handlers rt compiled;
-    Runtime.set_telemetry rt Telemetry.Level.Counters;
     let w = Telemetry.Export.Window.create ~capacity:window in
     let traffic = mixed_workload packets in
     let tty = Unix.isatty Unix.stdout in
     for b = 1 to batches do
-      let stats = Runtime.process_batch_parallel rt traffic in
+      let stats = Runtime.process_batch rt traffic in
       let snap =
         match Runtime.snapshot rt with Some s -> s | None -> assert false
       in

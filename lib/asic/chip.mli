@@ -75,8 +75,9 @@ val set_telemetry :
     packet. Observable packet behavior is identical at every level.
 
     This is chip-internal plumbing: application code configures
-    telemetry through {!Runtime.set_telemetry} (or the runtime's engine
-    config), which owns the registry the label counters land in. *)
+    telemetry through the runtime's engine config
+    ({!Runtime.configure}), which owns the registry the label counters
+    land in. *)
 
 val set_sfc_probe : t -> (P4ir.Phv.t -> Telemetry.Journey.hop_meta) -> unit
 (** Install the per-hop PHV reader used in [Journeys] mode. The default

@@ -1,8 +1,9 @@
 (** Telemetry glue for the Dejavu data plane: one registry + flight
     recorder per observer, chip hook installation, journey assembly from
     chip trace marks, and snapshot/JSON export. The runtime owns an
-    observer when telemetry is on (see {!Runtime.set_telemetry}); the
-    hot-path counters it bumps live in this observer's registry. *)
+    observer when the engine's telemetry level is on (see
+    {!Runtime.configure}); the hot-path counters it bumps live in this
+    observer's registry. *)
 
 type t
 

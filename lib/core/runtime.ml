@@ -89,37 +89,37 @@ type obs_state = {
   h_alloc_w : Telemetry.Histogram.t;  (* words allocated per packet *)
 }
 
-type t = {
-  compiled : Compiler.t;
-  (* The chip this runtime injects into: the compiled chip for the
-     primary runtime, a [Chip.replicate] clone for a shard runtime. *)
+(* What one packet loop runs against: a chip, the CPU handlers bound to
+   that chip and its shard's state store, and the chip's private flow
+   cache and observer. The primary shard (the compiled chip) lives as
+   long as the runtime; a sharded batch wraps each [Chip.replicate]
+   clone in a shard of its own, dropped when the batch ends. *)
+type shard = {
   chip : Asic.Chip.t;
   handlers : (string, handler) Hashtbl.t;
-  (* Chip-bound handler factories, kept so shard replicas can re-bind
-     each handler to their own chip's table handles. *)
-  chip_handlers : (string, Asic.Chip.t -> handler) Hashtbl.t;
+  cache : Flow_cache.t option;
+  obs : obs_state option;
+}
+
+type t = {
+  compiled : Compiler.t;
+  (* Handler factories, re-applied whenever the chip or the store a
+     handler serves changes: per replica, and after [configure]
+     replaces the store array. *)
+  factories : (string, Asic.Chip.t -> State_store.t option -> handler) Hashtbl.t;
   nf_ids : (int, string) Hashtbl.t;
   (* (path_id, service_index) -> reinjection pipeline, precomputed from
      the branching plan and the layout so per-CPU-reinject dispatch is a
      single hash probe instead of two linear scans. *)
   reinject : (int * int, int) Hashtbl.t;
   mutable engine : Engine.t;
-  mutable obs : obs_state option;
-  (* The exact-match flow cache fronting this runtime's chip; [None]
-     when the engine's cache knob is [Off]. Shard replicas get their
-     own cache over their own replica chip. *)
-  mutable cache : Flow_cache.t option;
-  (* Bounded state stores, one per shard, persistent across batches
-     (unlike replica chips); [||] when the engine's state knob is
-     [No_state]. Shard d's replica runtime carries [stores.(d)] alone;
-     the primary's handlers bind [stores.(0)]. *)
+  mutable main : shard;
+  (* Bounded state stores, one per shard ([Engine.domains] of them),
+     persistent across batches (unlike replica chips); [||] when the
+     engine's state knob is [No_state]. Shard d binds [stores.(d)]. *)
   mutable stores : State_store.t array;
-  (* Store-aware handler factories, re-bound (like [chip_handlers])
-     whenever the chip or the store a handler serves changes. *)
-  state_handlers : (string, Asic.Chip.t -> State_store.t option -> handler) Hashtbl.t;
   (* Control-plane update queue, drained onto the primary chip at batch
-     boundaries. Shard replicas carry a fresh (never-submitted-to)
-     queue — ops always target the primary. *)
+     boundaries. *)
   ctrl : Ctrl.queue;
 }
 
@@ -154,7 +154,7 @@ let build_reinject_map compiled =
     (List.rev compiled.Compiler.plan.Branching.branching);
   reinject
 
-let chip t = t.chip
+let chip t = t.main.chip
 
 (* --- Control plane front door ---
 
@@ -164,28 +164,29 @@ let chip t = t.chip
    contract), [control]/[submit] let producers on any domain queue
    batches, and [sync] — called automatically at the top of every
    packet batch — drains the queue onto the primary chip. Replica
-   coherence is structural: parallel batches clone per-domain replicas
-   from the primary at batch start, so a drained batch is visible to
+   coherence is structural: sharded batches clone per-domain replicas
+   from the primary after the drain, so a drained batch is visible to
    every shard of the next packet batch and to none of the current
    one. *)
 
-let apply_ops t ops = Ctrl.apply_all t.chip ops
+let apply_ops t ops = Ctrl.apply_all t.main.chip ops
 let control t = t.ctrl
 
 let sync t =
+  let obs = t.main.obs in
   let batches = Ctrl.drain t.ctrl in
   (* Queue-depth histogram: how many batches had piled up per drain —
      the back-pressure signal for producers. Only non-empty drains are
      observed; idle batch boundaries would drown the distribution in
      zeros. *)
-  (match t.obs with
+  (match obs with
   | Some os when batches <> [] ->
       Telemetry.Histogram.observe os.h_queue_depth (List.length batches)
   | _ -> ());
   let applied, errs_rev =
     List.fold_left
       (fun (n, errs) (b : Ctrl.batch) ->
-        (match t.obs with
+        (match obs with
         | None -> ()
         | Some os ->
             let waited =
@@ -193,16 +194,16 @@ let sync t =
                 (Int64.sub (Telemetry.Tclock.now_ns ()) b.Ctrl.submitted_ns)
             in
             Telemetry.Histogram.observe os.h_drain_ns (max 0 waited));
-        match Ctrl.apply_all t.chip b.Ctrl.ops with
+        match Ctrl.apply_all t.main.chip b.Ctrl.ops with
         | Ok k ->
             Ctrl.note t.ctrl b.Ctrl.id (Ok k);
-            (match t.obs with
+            (match obs with
             | Some os -> os.c_ctrl_applied := !(os.c_ctrl_applied) + k
             | None -> ());
             (n + k, errs)
         | Error e ->
             Ctrl.note t.ctrl b.Ctrl.id (Error e);
-            (match t.obs with
+            (match obs with
             | Some os -> incr os.c_ctrl_failed
             | None -> ());
             (n, (b.Ctrl.id, e) :: errs))
@@ -210,12 +211,13 @@ let sync t =
   in
   (applied, List.rev errs_rev)
 
-let enable_obs t level ring_capacity =
+(* An observer attached to [chip], its hot-path counters resolved. *)
+let observer chip level ring_capacity =
   let o = Observe.create ~ring_capacity level in
-  Observe.attach_observer o t.chip;
+  Observe.attach_observer o chip;
   let reg = Observe.registry o in
   let c = Telemetry.Registry.counter reg in
-  let n_ports = Asic.Spec.n_eth_ports (Asic.Chip.spec t.chip) in
+  let n_ports = Asic.Spec.n_eth_ports (Asic.Chip.spec chip) in
   (* Bound one by one so registration (= display) order is sensible:
      record fields would evaluate right-to-left. *)
   let c_emitted = c "verdict.emitted" in
@@ -242,50 +244,51 @@ let enable_obs t level ring_capacity =
   in
   let rx = Array.init n_ports (fun p -> c (Printf.sprintf "port.%d.rx" p)) in
   let tx = Array.init n_ports (fun p -> c (Printf.sprintf "port.%d.tx" p)) in
-  t.obs <-
-    Some
-      {
-        o;
-        rx;
-        tx;
-        c_emitted;
-        c_dropped;
-        c_to_cpu;
-        c_errors;
-        c_punts;
-        c_round_trips;
-        c_recircs;
-        c_resubmits;
-        c_drop_dp;
-        c_cache_hit;
-        c_cache_miss;
-        c_ctrl_applied;
-        c_ctrl_failed;
-        c_suppressed;
-        c_gc_minor;
-        c_gc_major;
-        h_ns;
-        h_queue_depth;
-        h_drain_ns;
-        h_alloc_w;
-      }
+  {
+    o;
+    rx;
+    tx;
+    c_emitted;
+    c_dropped;
+    c_to_cpu;
+    c_errors;
+    c_punts;
+    c_round_trips;
+    c_recircs;
+    c_resubmits;
+    c_drop_dp;
+    c_cache_hit;
+    c_cache_miss;
+    c_ctrl_applied;
+    c_ctrl_failed;
+    c_suppressed;
+    c_gc_minor;
+    c_gc_major;
+    h_ns;
+    h_queue_depth;
+    h_drain_ns;
+    h_alloc_w;
+  }
 
-let primary_store t =
-  if Array.length t.stores = 0 then None else Some t.stores.(0)
+(* The store serving shard [d]. *)
+let store_of t d = if Array.length t.stores = 0 then None else Some t.stores.(d)
 
-(* Re-apply every store-aware factory against the primary chip and the
-   primary (shard-0) store — run after any store-array replacement so
-   sequential-path handlers never hold a dropped store. *)
-let rebind_state_handlers t =
-  Hashtbl.iter
-    (fun nf factory -> Hashtbl.replace t.handlers nf (factory t.chip (primary_store t)))
-    t.state_handlers
+(* Every factory applied to [chip] and shard [d]'s store. *)
+let bind t chip d =
+  let handlers = Hashtbl.create (Hashtbl.length t.factories) in
+  Hashtbl.iter (fun nf f -> Hashtbl.replace handlers nf (f chip (store_of t d))) t.factories;
+  handlers
+
+(* Re-bind the primary shard after any store-array replacement, so
+   its handlers never hold a dropped store. *)
+let rebind t = t.main <- { t.main with handlers = bind t t.main.chip 0 }
 
 let configure t (e : Engine.t) =
   let e = { e with Engine.domains = max 1 e.Engine.domains } in
   let prev = t.engine in
+  let chip = t.main.chip in
   t.engine <- e;
-  Asic.Chip.set_exec_mode t.chip e.Engine.exec_mode;
+  Asic.Chip.set_exec_mode chip e.Engine.exec_mode;
   (* State-store transitions: an unchanged knob at an unchanged shard
      count keeps the stores (entries, stats, clock) alive; a shard
      count change under an unchanged knob re-homes every entry to its
@@ -300,60 +303,63 @@ let configure t (e : Engine.t) =
   | _, None ->
       if Array.length t.stores > 0 then begin
         t.stores <- [||];
-        rebind_state_handlers t
+        rebind t
       end
   | Some a, Some b when a = b && Array.length t.stores > 0 ->
       let fresh = Array.init e.Engine.domains (fun _ -> State_store.create b) in
       State_store.migrate ~from:t.stores ~into:fresh;
       t.stores <- fresh;
-      rebind_state_handlers t
+      rebind t
   | _, Some b ->
       t.stores <- Array.init e.Engine.domains (fun _ -> State_store.create b);
-      rebind_state_handlers t);
+      rebind t);
   (* Re-attach only when an observation knob changed: reconfiguring
      exec_mode or domains must not wipe accumulated counters. *)
-  let reattach =
-    e.Engine.telemetry <> prev.Engine.telemetry
-    || e.Engine.ring_capacity <> prev.Engine.ring_capacity
-    || (Option.is_none t.obs && e.Engine.telemetry <> Telemetry.Level.Off)
+  let { obs; cache; _ } = t.main in
+  let obs =
+    if
+      e.Engine.telemetry = prev.Engine.telemetry
+      && e.Engine.ring_capacity = prev.Engine.ring_capacity
+      && (Option.is_some obs || e.Engine.telemetry = Telemetry.Level.Off)
+    then obs
+    else
+      match e.Engine.telemetry with
+      | Telemetry.Level.Off ->
+          Observe.detach chip;
+          None
+      | (Telemetry.Level.Counters | Telemetry.Level.Journeys) as level ->
+          Some (observer chip level e.Engine.ring_capacity)
   in
-  (if reattach then
-     match e.Engine.telemetry with
-     | Telemetry.Level.Off ->
-         Observe.detach t.chip;
-         t.obs <- None
-     | (Telemetry.Level.Counters | Telemetry.Level.Journeys) as level ->
-         enable_obs t level e.Engine.ring_capacity);
   (* Cache transitions: keep an unchanged cache (and its entries and
      stats) alive; anything else detaches the old recorders before
      building the replacement, so a chip never carries two sets of
      hooks. *)
-  match (prev.Engine.cache, e.Engine.cache) with
-  | Engine.Off, Engine.Off -> ()
-  | Engine.Emc { capacity = a }, Engine.Emc { capacity = b }
-    when a = b && Option.is_some t.cache ->
-      ()
-  | _, Engine.Off ->
-      Option.iter Flow_cache.detach t.cache;
-      t.cache <- None
-  | _, Engine.Emc { capacity } ->
-      Option.iter Flow_cache.detach t.cache;
-      t.cache <- Some (Flow_cache.create ~capacity t.chip)
+  let cache =
+    match (prev.Engine.cache, e.Engine.cache) with
+    | Engine.Off, Engine.Off -> cache
+    | Engine.Emc { capacity = a }, Engine.Emc { capacity = b }
+      when a = b && Option.is_some cache ->
+        cache
+    | _, Engine.Off ->
+        Option.iter Flow_cache.detach cache;
+        None
+    | _, Engine.Emc { capacity } ->
+        Option.iter Flow_cache.detach cache;
+        Some (Flow_cache.create ~capacity chip)
+  in
+  t.main <- { t.main with obs; cache }
 
 let create ?(engine = Engine.default) compiled =
   let t =
     {
       compiled;
-      chip = compiled.Compiler.chip;
-      handlers = Hashtbl.create 8;
-      chip_handlers = Hashtbl.create 8;
+      factories = Hashtbl.create 8;
       nf_ids = Hashtbl.create 8;
       reinject = build_reinject_map compiled;
       engine = Engine.default;
-      obs = None;
-      cache = None;
+      main =
+        { chip = compiled.Compiler.chip; handlers = Hashtbl.create 8; cache = None; obs = None };
       stores = [||];
-      state_handlers = Hashtbl.create 8;
       ctrl = Ctrl.queue ();
     }
   in
@@ -361,22 +367,15 @@ let create ?(engine = Engine.default) compiled =
   t
 
 let engine t = t.engine
-let flow_cache t = t.cache
+let flow_cache t = t.main.cache
 let state_stores t = t.stores
-let state_store t = primary_store t
 
 let advance_state_time t ns =
   Array.fold_left (fun acc s -> acc + State_store.advance s ns) 0 t.stores
 
-let on_to_cpu t nf handler = Hashtbl.replace t.handlers nf handler
-
-let on_to_cpu_chip t nf factory =
-  Hashtbl.replace t.chip_handlers nf factory;
-  Hashtbl.replace t.handlers nf (factory t.chip)
-
 let on_to_cpu_state t nf factory =
-  Hashtbl.replace t.state_handlers nf factory;
-  Hashtbl.replace t.handlers nf (factory t.chip (primary_store t))
+  Hashtbl.replace t.factories nf factory;
+  Hashtbl.replace t.main.handlers nf (factory t.main.chip (store_of t 0))
 
 let register_nf_id t nf id = Hashtbl.replace t.nf_ids id nf
 
@@ -387,18 +386,7 @@ let default_nf_id name =
   in
   if h = 0 then 1 else h
 
-let set_telemetry ?ring_capacity t level =
-  let ring_capacity =
-    match ring_capacity with
-    | Some r -> r
-    | None -> t.engine.Engine.ring_capacity
-  in
-  configure t { t.engine with Engine.telemetry = level; ring_capacity }
-
-let telemetry t = Option.map (fun os -> os.o) t.obs
-
-let telemetry_level t =
-  match t.obs with None -> Telemetry.Level.Off | Some os -> Observe.level os.o
+let telemetry t = Option.map (fun os -> os.o) t.main.obs
 
 type outcome = {
   verdict : Asic.Chip.verdict;
@@ -440,7 +428,7 @@ let reinject_pipeline t frame =
       | Some p -> p
       | None -> default)
 
-let find_handler t sfc =
+let find_handler t sh sfc =
   match sfc with
   | None -> None
   | Some hdr -> (
@@ -449,7 +437,7 @@ let find_handler t sfc =
       | Some nf_id -> (
           match Hashtbl.find_opt t.nf_ids nf_id with
           | None -> None
-          | Some nf -> Hashtbl.find_opt t.handlers nf))
+          | Some nf -> Hashtbl.find_opt sh.handlers nf))
 
 (* The INT postcard's flow key: the canonical 5-tuple rendering when the
    frame parses, else the arrival port — same fallback the shard hash
@@ -462,20 +450,21 @@ let flow_key ~in_port frame =
       | Some ft -> Format.asprintf "%a" Netpkt.Flow.pp_five_tuple ft
       | None -> Printf.sprintf "port:%d" in_port)
 
-let process t ~in_port frame =
+(* One packet through shard [sh]: the runtime's single packet loop. *)
+let run_packet t sh ~in_port frame =
   (* [mirrored_rev] accumulates reversed (rev_append per pass, one final
      [List.rev]) so an N-round flow costs O(total) instead of the
      quadratic [acc @ round] append. [rounds] counts completed CPU
      round trips; the handler runs at most [max_cpu_loops] times — the
      bound is exact, checked before each dispatch. *)
   let jr =
-    match t.obs with
+    match sh.obs with
     | Some os when Telemetry.Level.journeys_on (Observe.level os.o) ->
         Some (ref [])
     | _ -> None
   in
   let t0 =
-    match t.obs with
+    match sh.obs with
     | None -> 0L
     | Some os ->
         if in_port >= 0 && in_port < Array.length os.rx then incr os.rx.(in_port);
@@ -483,9 +472,9 @@ let process t ~in_port frame =
   in
   let rec loop frame rounds recircs resubmits latency mirrored_rev first =
     let injected =
-      if first then Asic.Chip.inject t.chip ~in_port frame
+      if first then Asic.Chip.inject sh.chip ~in_port frame
       else
-        Asic.Chip.inject_cpu t.chip
+        Asic.Chip.inject_cpu sh.chip
           ~pipeline:(reinject_pipeline t frame)
           frame
     in
@@ -513,9 +502,9 @@ let process t ~in_port frame =
         in
         match r.Asic.Chip.verdict with
         | Asic.Chip.To_cpu bytes -> (
-            (match t.obs with Some os -> incr os.c_punts | None -> ());
+            (match sh.obs with Some os -> incr os.c_punts | None -> ());
             let sfc = decode_sfc bytes in
-            match find_handler t sfc with
+            match find_handler t sh sfc with
             | None -> finish ()
             | Some _ when rounds >= max_cpu_loops ->
                 Error
@@ -530,7 +519,7 @@ let process t ~in_port frame =
         | Asic.Chip.Emitted _ | Asic.Chip.Dropped -> finish ())
   in
   let res =
-    match t.cache with
+    match sh.cache with
     | None -> loop frame 0 0 0 0.0 [] true
     | Some c -> (
         match Flow_cache.lookup c ~in_port frame with
@@ -539,7 +528,7 @@ let process t ~in_port frame =
                whole pipeline run. Cacheable outcomes have zero path
                counters and no mirrors by construction, so this outcome
                equals what the re-run would have produced. *)
-            (match t.obs with Some os -> incr os.c_cache_hit | None -> ());
+            (match sh.obs with Some os -> incr os.c_cache_hit | None -> ());
             Ok
               {
                 verdict = h.Flow_cache.verdict;
@@ -551,7 +540,7 @@ let process t ~in_port frame =
                 mirrored = [];
               }
         | None ->
-            (match t.obs with Some os -> incr os.c_cache_miss | None -> ());
+            (match sh.obs with Some os -> incr os.c_cache_miss | None -> ());
             let res = loop frame 0 0 0 0.0 [] true in
             (match res with
             | Ok o ->
@@ -564,7 +553,7 @@ let process t ~in_port frame =
             | Error _ -> Flow_cache.abort c);
             res)
   in
-  (match t.obs with
+  (match sh.obs with
   | None -> ()
   | Some os -> (
       let wall = Int64.to_int (Int64.sub (Telemetry.Tclock.now_ns ()) t0) in
@@ -638,6 +627,8 @@ let process t ~in_port frame =
             }));
   res
 
+let process t ~in_port frame = run_packet t t.main ~in_port frame
+
 type batch_stats = {
   packets : int;
   emitted : int;
@@ -685,87 +676,64 @@ let gc_words () =
   let s = Gc.quick_stat () in
   (s.Gc.minor_words, s.Gc.major_words -. s.Gc.promoted_words)
 
-let process_batch ?each t pkts =
-  (* Batch boundary: drain queued control-plane batches onto this
-     runtime's chip before any packet of this batch runs. Outcomes land
-     in the queue's result log. *)
-  ignore (sync t);
-  (* Allocation accounting brackets the packet loop (after the ctrl
-     drain, so control-plane work is not billed to packets). The
-     per-packet figure includes whatever observation itself allocates —
-     that is the point: it is the number the zero-alloc work must
-     drive down at [Off], and the overhead it pays above it. *)
-  let gc0 = match t.obs with None -> (0.0, 0.0) | Some _ -> gc_words () in
-  let stats = ref empty_stats in
-  List.iteri
-    (fun i (in_port, frame) ->
-      let s = !stats in
-      let s = { s with packets = s.packets + 1 } in
-      let res = process t ~in_port frame in
-      (match each with Some f -> f i res | None -> ());
-      match res with
-      | Error e ->
-          let msg = Bytes.of_string e in
-          (* Keep the first few messages (with the offending in_port)
-             instead of swallowing them into a bare count: a batch that
-             "just" reports errors=3 is undebuggable. *)
-          let error_log =
-            if s.errors < max_error_log then (in_port, e) :: s.error_log
-            else s.error_log
-          in
-          stats :=
-            {
-              s with
-              errors = s.errors + 1;
-              digest = fold_digest s.digest 4 0 (Some msg);
-              error_log;
-            }
-      | Ok o ->
-          let s = { s with counters = Counters.add s.counters o.counters } in
-          stats :=
-            (match o.verdict with
-            | Asic.Chip.Emitted { port; frame } ->
-                {
-                  s with
-                  emitted = s.emitted + 1;
-                  digest = fold_digest s.digest 1 port (Some frame);
-                }
-            | Asic.Chip.Dropped ->
-                {
-                  s with
-                  dropped = s.dropped + 1;
-                  digest = fold_digest s.digest 2 0 None;
-                }
-            | Asic.Chip.To_cpu frame ->
-                {
-                  s with
-                  to_cpu = s.to_cpu + 1;
-                  digest = fold_digest s.digest 3 0 (Some frame);
-                }))
-    pkts;
-  let s = !stats in
-  (match t.obs with
-  | None -> ()
-  | Some os ->
-      let minor0, major0 = gc0 in
-      let minor1, major1 = gc_words () in
-      let minor_d = minor1 -. minor0 and major_d = major1 -. major0 in
-      os.c_gc_minor := !(os.c_gc_minor) + max 0 (int_of_float minor_d);
-      os.c_gc_major := !(os.c_gc_major) + max 0 (int_of_float major_d);
-      if s.packets > 0 then
-        Telemetry.Histogram.observe os.h_alloc_w
-          (max 0
-             (int_of_float ((minor_d +. major_d) /. float_of_int s.packets)));
-      let suppressed = s.errors - List.length s.error_log in
-      if suppressed > 0 then
-        os.c_suppressed := !(os.c_suppressed) + suppressed);
-  {
-    s with
-    error_log = List.rev s.error_log;
-    suppressed = s.errors - List.length s.error_log;
-  }
+(* One packet's result folded into a shard's running stats. The error
+   log keeps the first [max_error_log] messages with their in_port,
+   newest first, instead of swallowing them into a bare count: a batch
+   that "just" reports errors=3 is undebuggable. *)
+let tally s in_port (res : (outcome, string) result) =
+  let packets = s.packets + 1 in
+  match res with
+  | Error e ->
+      let error_log =
+        if s.errors < max_error_log then (in_port, e) :: s.error_log
+        else s.error_log
+      in
+      {
+        s with
+        packets;
+        errors = s.errors + 1;
+        digest = fold_digest s.digest 4 0 (Some (Bytes.of_string e));
+        error_log;
+      }
+  | Ok o -> (
+      let counters = Counters.add s.counters o.counters in
+      match o.verdict with
+      | Asic.Chip.Emitted { port; frame } ->
+          {
+            s with
+            packets;
+            counters;
+            emitted = s.emitted + 1;
+            digest = fold_digest s.digest 1 port (Some frame);
+          }
+      | Asic.Chip.Dropped ->
+          {
+            s with
+            packets;
+            counters;
+            dropped = s.dropped + 1;
+            digest = fold_digest s.digest 2 0 None;
+          }
+      | Asic.Chip.To_cpu frame ->
+          {
+            s with
+            packets;
+            counters;
+            to_cpu = s.to_cpu + 1;
+            digest = fold_digest s.digest 3 0 (Some frame);
+          })
 
-(* --- Sharded parallel execution --- *)
+(* Run one shard's packets in order. [feed] calls its argument on every
+   [(index, in_port, frame)], the index being the packet's position in
+   the caller's batch — what [each] sees. The error log comes back
+   oldest first. *)
+let run_shard t sh each feed =
+  let stats = ref empty_stats in
+  feed (fun i in_port frame ->
+      let res = run_packet t sh ~in_port frame in
+      (match each with Some f -> f i res | None -> ());
+      stats := tally !stats in_port res);
+  { !stats with error_log = List.rev !stats.error_log }
 
 (* Flow-affinity shard assignment: the CRC-32 of the *canonicalized*
    outer 5-tuple, mod the domain count — every packet of a connection,
@@ -789,207 +757,155 @@ let shard_of_packet ~domains in_port frame =
                  (Int64.of_int domains))
         | None -> (in_port land max_int) mod domains)
 
-(* A shard runtime: a share-nothing chip replica, the same compiled
-   metadata (read-only during a batch), chip-bound handlers re-bound to
-   the replica's table handles, and — when the parent observes — a
-   private observer whose registry merges back after the run. *)
-let replica_of t d =
-  match Asic.Chip.replicate t.chip with
-  | Error e -> failwith ("Runtime.process_batch_parallel: " ^ e)
-  | Ok rchip ->
-      (* The shard's persistent store: replica chips die with the
-         batch, but shard d's state store carries across batches — a
-         punt-installed session outlives the replica that installed
-         it, and its eviction callback (re-bound below to this batch's
-         replica table) keeps the live chip in step. *)
-      let store =
-        if Array.length t.stores = 0 then None
-        else Some t.stores.(d mod Array.length t.stores)
+(* Shard [d] of a sharded batch: a share-nothing replica of the primary
+   chip, handlers bound to it and to shard d's persistent store, and —
+   per the engine — a private cache and observer armed on the replica,
+   so no two domains ever touch the same recorder or entry. *)
+let replica t d =
+  match Asic.Chip.replicate t.main.chip with
+  | Error e -> failwith ("Runtime.process_batch: " ^ e)
+  | Ok chip ->
+      let handlers = bind t chip d in
+      let obs =
+        match t.engine.Engine.telemetry with
+        | Telemetry.Level.Off -> None
+        | (Telemetry.Level.Counters | Telemetry.Level.Journeys) as level ->
+            Some (observer chip level t.engine.Engine.ring_capacity)
       in
-      let rt =
-        {
-          compiled = t.compiled;
-          chip = rchip;
-          handlers = Hashtbl.copy t.handlers;
-          chip_handlers = t.chip_handlers;
-          nf_ids = t.nf_ids;
-          reinject = t.reinject;
-          engine = { t.engine with Engine.domains = 1 };
-          obs = None;
-          cache = None;
-          stores = (match store with None -> [||] | Some s -> [| s |]);
-          state_handlers = t.state_handlers;
-          ctrl = Ctrl.queue ();
-        }
+      let cache =
+        match t.engine.Engine.cache with
+        | Engine.Off -> None
+        | Engine.Emc { capacity } -> Some (Flow_cache.create ~capacity chip)
       in
-      Hashtbl.iter
-        (fun nf factory -> Hashtbl.replace rt.handlers nf (factory rchip))
-        t.chip_handlers;
-      Hashtbl.iter
-        (fun nf factory -> Hashtbl.replace rt.handlers nf (factory rchip store))
-        t.state_handlers;
-      (match t.engine.Engine.telemetry with
-      | Telemetry.Level.Off -> ()
-      | (Telemetry.Level.Counters | Telemetry.Level.Journeys) as level ->
-          enable_obs rt level t.engine.Engine.ring_capacity);
-      (* Each shard gets a private cache armed on its own replica chip:
-         the recorder hooks and the entries both belong to exactly one
-         domain, so shards never observe each other's state. *)
-      (match t.engine.Engine.cache with
-      | Engine.Off -> ()
-      | Engine.Emc { capacity } ->
-          rt.cache <- Some (Flow_cache.create ~capacity rchip));
-      rt
+      { chip; handlers; cache; obs }
+
+(* Fold a finished replica's observations into the primary: table
+   tallies into the primary chip's live stats (so a later snapshot's
+   sync_tables sees them), registry counters and histograms directly,
+   journeys into the primary ring with fresh ids, and per-flow INT
+   aggregates field-wise — flow affinity means a flow's summary lives
+   on exactly one shard, so the fold never double-counts a flow. Cache
+   entries die with the replica; its tallies fold back so [flow_cache]
+   keeps runtime-wide hit/miss accounting. *)
+let fold_back t sh =
+  (match (t.main.obs, sh.obs) with
+  | Some os, Some ros ->
+      Asic.Chip.merge_stats ~into:t.main.chip sh.chip;
+      Telemetry.Registry.merge ~into:(Observe.registry os.o) (Observe.registry ros.o);
+      List.iter
+        (fun j ->
+          Observe.record_journey os.o
+            { j with Telemetry.Journey.id = Observe.next_journey_id os.o })
+        (Observe.journeys ros.o);
+      Telemetry.Int_report.merge ~into:(Observe.int_sink os.o) (Observe.int_sink ros.o)
+  | _ -> ());
+  match (t.main.cache, sh.cache) with
+  | Some root, Some rc -> Flow_cache.merge_stats ~into:root rc
+  | _ -> ()
 
 (* Shard-major merge. The combined digest chains the per-shard digests
    in shard order through CRC-32: deterministic for a fixed [domains]
    (shard assignment and intra-shard order are both deterministic), and
    different from the sequential digest by construction — cross-count
-   equivalence is checked on totals and per-packet outcomes instead. *)
+   equivalence is checked on totals and per-packet outcomes instead.
+   The error logs concatenate in shard order, capped again. *)
 let merge_shards per_shard =
-  let digest =
-    List.fold_left
-      (fun acc s ->
-        let b = Bytes.create 8 in
-        Bytes.set_int64_be b 0 s.digest;
-        Netpkt.Bytes_util.crc32 ~init:acc b ~off:0 ~len:8)
-      0L per_shard
+  List.fold_left
+    (fun acc s ->
+      let b = Bytes.create 8 in
+      Bytes.set_int64_be b 0 s.digest;
+      {
+        acc with
+        packets = acc.packets + s.packets;
+        emitted = acc.emitted + s.emitted;
+        dropped = acc.dropped + s.dropped;
+        to_cpu = acc.to_cpu + s.to_cpu;
+        errors = acc.errors + s.errors;
+        counters = Counters.add acc.counters s.counters;
+        digest = Netpkt.Bytes_util.crc32 ~init:acc.digest b ~off:0 ~len:8;
+        error_log =
+          List.filteri (fun i _ -> i < max_error_log) (acc.error_log @ s.error_log);
+      })
+    empty_stats per_shard
+
+(* The packets bucketed by [shard_of_packet], each shard run on its own
+   domain against its own replica, the replicas folded back in shard
+   order and then dropped. *)
+let run_sharded t ~domains each pkts =
+  let buckets = Array.make domains [] in
+  List.iteri
+    (fun i (in_port, frame) ->
+      let d = shard_of_packet ~domains in_port frame in
+      buckets.(d) <- (i, in_port, frame) :: buckets.(d))
+    pkts;
+  let shards = Array.init domains (replica t) in
+  let per_shard =
+    Dpool.run ~domains
+      (List.init domains (fun d () ->
+           let own = List.rev buckets.(d) in
+           run_shard t shards.(d) each (fun f ->
+               List.iter (fun (i, in_port, frame) -> f i in_port frame) own)))
   in
-  let merged =
-    List.fold_left
-      (fun acc s ->
-        {
-          packets = acc.packets + s.packets;
-          emitted = acc.emitted + s.emitted;
-          dropped = acc.dropped + s.dropped;
-          to_cpu = acc.to_cpu + s.to_cpu;
-          errors = acc.errors + s.errors;
-          counters = Counters.add acc.counters s.counters;
-          digest = 0L;
-          error_log = acc.error_log @ s.error_log;
-          suppressed = 0;
-        })
-      empty_stats per_shard
+  Array.iter (fold_back t) shards;
+  merge_shards per_shard
+
+let process_batch ?each t pkts =
+  (* Batch boundary: drain queued control-plane batches onto the primary
+     chip before any packet of this batch runs — and before any replica
+     is cloned, so every shard sees the same post-update state. Outcomes
+     land in the queue's result log. *)
+  ignore (sync t);
+  (* Allocation accounting brackets the packet work (after the ctrl
+     drain, so control-plane work is not billed to packets). The
+     per-packet figure includes whatever observation itself allocates —
+     that is the point: it is the number the zero-alloc work must
+     drive down at [Off], and the overhead it pays above it. *)
+  let gc0 = match t.main.obs with None -> (0.0, 0.0) | Some _ -> gc_words () in
+  let s =
+    match t.engine.Engine.domains with
+    | 1 ->
+        run_shard t t.main each (fun f ->
+            List.iteri (fun i (in_port, frame) -> f i in_port frame) pkts)
+    | domains -> run_sharded t ~domains each pkts
   in
-  let error_log =
-    List.filteri (fun i _ -> i < max_error_log) merged.error_log
-  in
-  (* Suppressed = everything the surviving log does not show, whether a
-     shard capped it locally or the shard-order concatenation did. *)
-  {
-    merged with
-    digest;
-    error_log;
-    suppressed = merged.errors - List.length error_log;
-  }
+  (* Suppressed = every error the surviving log does not show. *)
+  let suppressed = s.errors - List.length s.error_log in
+  (match t.main.obs with
+  | None -> ()
+  | Some os ->
+      let minor0, major0 = gc0 in
+      let minor1, major1 = gc_words () in
+      let minor_d = minor1 -. minor0 and major_d = major1 -. major0 in
+      os.c_gc_minor := !(os.c_gc_minor) + max 0 (int_of_float minor_d);
+      os.c_gc_major := !(os.c_gc_major) + max 0 (int_of_float major_d);
+      if s.packets > 0 then
+        Telemetry.Histogram.observe os.h_alloc_w
+          (max 0
+             (int_of_float ((minor_d +. major_d) /. float_of_int s.packets)));
+      os.c_suppressed := !(os.c_suppressed) + suppressed);
+  { s with suppressed }
 
 let process_batch_parallel ?domains ?each t pkts =
-  let domains =
-    max 1 (match domains with Some d -> d | None -> t.engine.Engine.domains)
-  in
-  if domains = 1 then
-    (* The sequential path, bit-identical to [process_batch] — including
-       its state persistence on the primary chip. *)
-    process_batch ?each t pkts
-  else begin
-    (* Drain queued control ops onto the primary BEFORE replicating:
-       every shard of this batch then clones the same post-update
-       state — the replica-coherence point. *)
-    ignore (sync t);
-    (* An explicit [?domains] that disagrees with the live store layout
-       is a re-shard: re-home the entries first so shard d's packets
-       meet shard d's state (and no two domains ever share a store). *)
-    (if Array.length t.stores > 0 && Array.length t.stores <> domains then
-       match Engine.store_config t.engine.Engine.state with
-       | None -> ()
-       | Some cfg ->
-           let fresh = Array.init domains (fun _ -> State_store.create cfg) in
-           State_store.migrate ~from:t.stores ~into:fresh;
-           t.stores <- fresh;
-           rebind_state_handlers t);
-    let buckets = Array.make domains [] in
-    List.iteri
-      (fun i (in_port, frame) ->
-        let s = shard_of_packet ~domains in_port frame in
-        buckets.(s) <- (i, in_port, frame) :: buckets.(s))
-      pkts;
-    let shards = Array.map (fun l -> Array.of_list (List.rev l)) buckets in
-    let replicas = Array.init domains (fun d -> replica_of t d) in
-    let tasks =
-      List.init domains (fun d () ->
-          let sh = shards.(d) in
-          let each =
-            (* Remap the in-shard index back to the packet's position in
-               the caller's list. *)
-            Option.map
-              (fun f j r ->
-                let i, _, _ = sh.(j) in
-                f i r)
-              each
-          in
-          process_batch ?each replicas.(d)
-            (Array.to_list (Array.map (fun (_, p, f) -> (p, f)) sh)))
-    in
-    let per_shard = Dpool.run ~domains tasks in
-    (match t.obs with
-    | None -> ()
-    | Some os ->
-        Array.iter
-          (fun rt ->
-            match rt.obs with
-            | None -> ()
-            | Some ros ->
-                (* Table tallies fold into the primary chip's live stats
-                   (so a later snapshot's sync_tables sees them); pure
-                   registry counters and histograms merge directly;
-                   journeys re-enter the primary ring with fresh ids. *)
-                Asic.Chip.merge_stats ~into:t.chip rt.chip;
-                Telemetry.Registry.merge
-                  ~into:(Observe.registry os.o)
-                  (Observe.registry ros.o);
-                List.iter
-                  (fun j ->
-                    Observe.record_journey os.o
-                      {
-                        j with
-                        Telemetry.Journey.id = Observe.next_journey_id os.o;
-                      })
-                  (Observe.journeys ros.o);
-                (* Per-flow INT aggregates fold field-wise; flow
-                   affinity means a flow's summary lives on exactly one
-                   shard, so the fold never double-counts a flow. *)
-                Telemetry.Int_report.merge
-                  ~into:(Observe.int_sink os.o)
-                  (Observe.int_sink ros.o))
-          replicas);
-    (match t.cache with
-    | None -> ()
-    | Some root ->
-        (* Entries die with the replicas; the tallies fold back so
-           [flow_cache] keeps runtime-wide hit/miss accounting. *)
-        Array.iter
-          (fun rt ->
-            Option.iter (fun rc -> Flow_cache.merge_stats ~into:root rc) rt.cache)
-          replicas);
-    merge_shards per_shard
-  end
+  (match domains with
+  | Some d when max 1 d <> t.engine.Engine.domains ->
+      configure t { t.engine with Engine.domains = d }
+  | _ -> ());
+  process_batch ?each t pkts
 
 (* --- Snapshot front door --- *)
-
-let int_sink t = Option.map (fun os -> Observe.int_sink os.o) t.obs
 
 (* Absolute gauges (cache occupancy, INT flow counts, queue depth) are
    written into the registry only here, at snapshot time — never on the
    hot path and never on a shard replica, so [Registry.merge] (which
-   sums) cannot double-count them when parallel batches fold replica
+   sums) cannot double-count them when sharded batches fold replica
    registries back. *)
 let sync_gauges t =
-  match t.obs with
+  match t.main.obs with
   | None -> ()
   | Some os ->
       let reg = Observe.registry os.o in
       let set name v = Telemetry.Registry.counter reg name := v in
-      (match t.cache with
+      (match t.main.cache with
       | None -> ()
       | Some c ->
           let s = Flow_cache.stats c in
@@ -1044,8 +960,8 @@ let sync_gauges t =
       end
 
 let snapshot t =
-  match t.obs with
+  match t.main.obs with
   | None -> None
   | Some os ->
       sync_gauges t;
-      Some (Observe.snapshot os.o t.chip)
+      Some (Observe.snapshot os.o t.main.chip)

@@ -3,8 +3,14 @@
     action); the runtime dispatches to a per-NF handler — which
     typically installs a table entry — and reinjects the packet into
     the data plane, looping until the packet is emitted or dropped.
-    Batches run sequentially ({!process_batch}) or sharded across OCaml
-    domains onto private chip replicas ({!process_batch_parallel}). *)
+
+    One door each: the whole configuration is one {!Engine.t} applied
+    with {!configure}; every CPU handler is registered through
+    {!on_to_cpu_state}'s [chip -> store -> handler] factory; every batch
+    goes through {!process_batch}, which runs sequentially at
+    [Engine.domains = 1] and shards across that many OCaml domains onto
+    per-batch chip replicas otherwise; observation is read through
+    {!telemetry} and {!snapshot}. *)
 
 type action =
   | Reinject of Bytes.t  (** put (possibly rewritten) bytes back into the
@@ -52,8 +58,8 @@ module Engine : sig
     exec_mode : Asic.Chip.exec_mode;  (** default [Fast] *)
     telemetry : Telemetry.Level.t;  (** default [Off] *)
     domains : int;
-        (** default shard count for {!process_batch_parallel} when its
-            [?domains] is omitted; clamped to >= 1 *)
+        (** shard count for {!process_batch} (1 = sequential) and the
+            number of state stores; clamped to >= 1 *)
     ring_capacity : int;
         (** flight-recorder depth when telemetry is [Journeys] *)
     cache : cache;  (** default [Off] *)
@@ -61,8 +67,6 @@ module Engine : sig
   }
 
   val default : t
-
-  val store_config : state -> State_store.config option
 end
 
 type t
@@ -89,15 +93,11 @@ val flow_cache : t -> Flow_cache.t option
 (** The live flow cache when the engine's [cache] knob is [Emc] —
     for stats, clearing, and tests. *)
 
-val state_store : t -> State_store.t option
-(** The primary (shard-0) state store when the engine's [state] knob
-    is [Bounded] — what sequential-path handlers bind, and the store
-    NFs register their tables on for snapshot/warm-restart flows. *)
-
 val state_stores : t -> State_store.t array
-(** All shard stores in shard order ([||] when [No_state]). Persistent
-    across batches — unlike replica chips — so punt-installed state
-    outlives the parallel batch that created it. *)
+(** All shard stores in shard order ([||] when [No_state]), one per
+    [Engine.domains]. Persistent across batches — unlike replica chips —
+    so punt-installed state outlives the sharded batch that created it.
+    Store 0 is the one sequential-path handlers bind. *)
 
 val advance_state_time : t -> int64 -> int
 (** Advance every shard store's logical clock by [ns] and sweep TTL
@@ -106,28 +106,17 @@ val advance_state_time : t -> int64 -> int
     never advances implicitly, so runs that tick at the same points
     age identically — digests stay comparable. *)
 
-val on_to_cpu : t -> string -> handler -> unit
-(** Register the handler for an NF (keyed by the [ctx_key_cpu_reason]
-    context value carrying the NF's id). The handler is shared as-is
-    with shard replicas in parallel runs, so it must not capture chip
-    state (table handles, registers) — use {!on_to_cpu_chip} for
-    that. *)
-
-val on_to_cpu_chip : t -> string -> (Asic.Chip.t -> handler) -> unit
-(** Register a chip-bound handler factory: the factory is applied to
-    this runtime's chip now, and re-applied to each replica chip when a
-    parallel batch spins up shard runtimes — so a handler that installs
-    into a table (found via {!Asic.Chip.find_table}) always installs
-    into the chip that punted the packet. *)
-
 val on_to_cpu_state : t -> string -> (Asic.Chip.t -> State_store.t option -> handler) -> unit
-(** Like {!on_to_cpu_chip}, but the factory also receives the state
-    store serving the handler's shard ([None] when the engine's
-    [state] knob is [No_state]): the primary store now, shard [d]'s
-    store on shard [d]'s replica, and again whenever [configure]
-    replaces the store array — so an NF's punt handler can record
-    per-flow state in the store (and mirror the store's evictions
-    into its chip table) without ever holding a stale handle. *)
+(** Register an NF's handler factory (keyed by the [ctx_key_cpu_reason]
+    context value carrying the NF's id, see {!register_nf_id}). The
+    factory receives the chip the handler serves and that shard's state
+    store ([None] when the engine's [state] knob is [No_state]): the
+    primary chip and store 0 now, shard [d]'s replica and store [d]
+    during a sharded batch, and the primary again whenever [configure]
+    replaces the store array. So a handler that installs into a table
+    (found via {!Asic.Chip.find_table}) always installs into the chip
+    that punted the packet, and one that records per-flow state never
+    holds a stale store. A handler needing neither ignores both. *)
 
 val register_nf_id : t -> string -> int -> unit
 (** Associate an NF name with the id it writes into the CPU-reason
@@ -172,13 +161,13 @@ val apply_ops : t -> Ctrl.op list -> (int, string) result
     the first failure ([Ok n] = all [n] applied). The caller must be
     between packet batches — the runtime's single-consumer contract;
     epoch bumps make every change visible to the flow cache, and the
-    next parallel batch replicates the updated state to all shards. *)
+    next sharded batch replicates the updated state to all shards. *)
 
 val control : t -> Ctrl.queue
 (** The runtime's update queue. Producers (CPU handlers, other domains,
     an operator loop) {!Ctrl.submit} op batches at any time; the
     runtime drains the queue onto the primary chip at the top of every
-    {!process_batch} / {!process_batch_parallel} call, recording
+    {!process_batch} call, recording
     per-batch outcomes in the queue's result log ({!Ctrl.results}). *)
 
 val sync : t -> int * (int * string) list
@@ -187,29 +176,20 @@ val sync : t -> int * (int * string) list
     [(batch_id, message)]. A failed batch stops at its first bad op but
     does not block later batches. *)
 
-(** {2 Telemetry} *)
+(** {2 Telemetry}
 
-val set_telemetry : ?ring_capacity:int -> t -> Telemetry.Level.t -> unit
-(** The single telemetry front door — shorthand for {!configure} with
-    only the telemetry fields changed. Enabling instruments this
-    runtime and its chip: per-port rx/tx, verdict and packet-path
-    counters, error-class counters, an ns-per-packet histogram
-    ([runtime.ns_per_packet], measured with two monotonic-clock reads
-    around {!process}), and — at [Journeys] — a per-packet journey span
-    pushed into the flight recorder ([ring_capacity] entries). [Off]
-    detaches everything and restores the uninstrumented fast path.
-    ({!Asic.Chip.set_telemetry} is internal plumbing this calls; don't
-    use it directly.) *)
+    Set through the engine's [telemetry] and [ring_capacity] fields
+    ({!configure}). Enabling instruments this runtime and its chip:
+    per-port rx/tx, verdict and packet-path counters, error-class
+    counters, an ns-per-packet histogram ([runtime.ns_per_packet],
+    measured with two monotonic-clock reads around {!process}), and —
+    at [Journeys] — a per-packet journey span pushed into the flight
+    recorder and an INT postcard into {!Observe.int_sink}. [Off]
+    detaches everything and restores the uninstrumented fast path. *)
 
 val telemetry : t -> Observe.t option
-val telemetry_level : t -> Telemetry.Level.t
-
-val int_sink : t -> Telemetry.Int_report.t option
-(** The INT postcard sink, when telemetry is on. Populated at
-    [Journeys]: every processed packet's per-hop records enter as one
-    postcard keyed by its 5-tuple (per-flow summaries, bounded ring of
-    recent postcards). Shard sinks merge back after parallel
-    batches. *)
+(** The runtime's observer, when telemetry is on. Shard observers fold
+    back into it after every sharded batch. *)
 
 val snapshot : t -> Telemetry.Registry.snapshot option
 (** The observability front door: sync the chip's live table tallies
@@ -217,7 +197,7 @@ val snapshot : t -> Telemetry.Registry.snapshot option
     tallies ([cache.*]), pending ctrl batches ([ctrl.pending]), INT
     sink sizes ([int.*]) — into the registry, then snapshot it. [None]
     when telemetry is [Off]. Gauges are written only here (never on
-    the hot path, never on shard replicas), so parallel registry
+    the hot path, never on shard replicas), so sharded registry
     merges cannot double-count them; feed the result to
     {!Telemetry.Export.prometheus} / {!Telemetry.Export.json_lines}. *)
 
@@ -233,8 +213,8 @@ type batch_stats = {
   digest : int64;
       (** sequential: order-sensitive CRC-32 over every packet's verdict
           tag, egress port and output frame — byte-identical runs agree
-          on it. Parallel (domains >= 2): the per-shard digests chained
-          in shard order (see {!process_batch_parallel}). *)
+          on it. Sharded (domains >= 2): the per-shard digests chained
+          in shard order (see {!process_batch}). *)
   error_log : (int * string) list;
       (** the first {!max_error_log} per-packet errors, oldest first, as
           [(in_port, message)] — previously only the count survived *)
@@ -242,7 +222,8 @@ type batch_stats = {
       (** errors beyond the log cap: [errors - List.length error_log],
           so a capped log is visible as such instead of silently
           truncating. Also accumulated into the
-          [batch.errors_suppressed] counter when telemetry is on. *)
+          [batch.errors_suppressed] counter when telemetry is on, once
+          per batch, after shard logs merge. *)
 }
 
 val max_error_log : int
@@ -252,10 +233,39 @@ val process_batch :
   t ->
   (int * Bytes.t) list ->
   batch_stats
-(** Run [(in_port, frame)] packets through {!process} in order,
-    aggregating counters. Per-packet errors are counted (and folded into
-    the digest), not raised. [each] observes every packet's result with
-    its position in the input list. *)
+(** Run [(in_port, frame)] packets through {!process}, aggregating
+    counters. Per-packet errors are counted (and folded into the
+    digest), not raised. [each] observes every packet's result with its
+    position in the input list.
+
+    At [Engine.domains = 1] packets run in order on the primary chip.
+    At [domains = k >= 2] the batch is split by {!shard_of_packet} and
+    every shard runs on its own OCaml domain against a private
+    {!Asic.Chip.replicate} clone of the chip (share-nothing: table
+    entries and register cells are deep copies; handler factories
+    re-bind to the replica and to shard [d]'s store).
+
+    Determinism contract: flow affinity gives every flow one owner
+    domain processing its packets in arrival order, so per-packet
+    outcomes match the sequential run whenever flows don't interact
+    through shared NF state (cross-flow state — e.g. a rate-limiter
+    bucket fed by several flows — is only deterministic if those flows
+    hash to the same shard). Results merge in shard order: totals are
+    sums, the digest chains per-shard digests, so repeated runs with the
+    same [domains] agree bit-for-bit. Replicas are discarded after the
+    batch — control-plane installs during a sharded batch do not
+    persist on the primary chip, which is what keeps repeated runs
+    identical; state-store entries do persist.
+
+    With telemetry on, each shard gets a private observer; counters and
+    histograms merge back into this runtime's registry afterwards
+    ({!Telemetry.Registry.merge}), table tallies fold into the primary
+    chip's live stats, and shard journeys re-enter the primary flight
+    recorder with fresh ids.
+
+    In a sharded batch [each] runs on worker domains (for distinct
+    packet indices, concurrently) — it must tolerate that, e.g. by
+    writing to distinct array slots. *)
 
 val shard_of_packet : domains:int -> int -> Bytes.t -> int
 (** The flow-affinity shard of an [(in_port, frame)] packet: CRC-32 of
@@ -271,31 +281,7 @@ val process_batch_parallel :
   t ->
   (int * Bytes.t) list ->
   batch_stats
-(** Shard the batch by {!shard_of_packet} and run every shard on its own
-    OCaml domain against a private {!Asic.Chip.replicate} clone of the
-    chip (share-nothing: table entries and register cells are deep
-    copies; chip-bound handlers from {!on_to_cpu_chip} re-bind to the
-    replica). [domains] defaults to the engine's; [domains:1] is exactly
-    {!process_batch} — same digest, same state persistence on the
-    primary chip.
-
-    Determinism contract: flow affinity gives every flow one owner
-    domain processing its packets in arrival order, so per-packet
-    outcomes match the sequential run whenever flows don't interact
-    through shared NF state (cross-flow state — e.g. a rate-limiter
-    bucket fed by several flows — is only deterministic if those flows
-    hash to the same shard). Results merge in shard order: totals are
-    sums, the digest chains per-shard digests, so repeated runs with the
-    same [domains] agree bit-for-bit. Replicas are discarded after the
-    run — control-plane installs during a parallel batch do not persist
-    on the primary chip, which is what keeps repeated runs identical.
-
-    With telemetry on, each shard gets a private observer; counters and
-    histograms merge back into this runtime's registry afterwards
-    ({!Telemetry.Registry.merge}), table tallies fold into the primary
-    chip's live stats, and shard journeys re-enter the primary flight
-    recorder with fresh ids.
-
-    [each] runs on worker domains (for distinct packet indices,
-    concurrently) — it must tolerate that, e.g. by writing to distinct
-    array slots. *)
+(** Compatibility shim over {!process_batch}. A [domains] that differs
+    from the engine's is first applied with {!configure} (re-homing the
+    state stores and recording the new count), so the next batch sees
+    the same shard layout. *)

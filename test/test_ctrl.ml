@@ -302,7 +302,7 @@ let prop_live_equals_cold =
           List.iteri
             (fun i ops ->
               ignore (Ctrl.submit (Runtime.control rt) ops);
-              ignore (Runtime.process_batch_parallel rt (quiet_traffic i 8)))
+              ignore (Runtime.process_batch rt (quiet_traffic i 8)))
             (chunk 25 trace);
           Int64.equal (Ctrl.state_digest (Runtime.chip rt)) want)
         [ 1; 2; 4 ])

@@ -359,7 +359,7 @@ let test_int_sink_via_runtime () =
   let n = 9 in
   let workload = List.init n (fun i -> (0, frame_of_kind (i mod 3) i)) in
   ignore (Runtime.process_batch rt workload);
-  let sink = Option.get (Runtime.int_sink rt) in
+  let sink = Observe.int_sink (Option.get (Runtime.telemetry rt)) in
   check Alcotest.int "one postcard per packet" n
     (Telemetry.Int_report.pushed sink);
   check Alcotest.bool "flows aggregated" true
@@ -410,7 +410,7 @@ let prop_int_hops_match_reference =
         let rt = runtime_with mode in
         ignore (Runtime.process_batch rt workload);
         let o = Option.get (Runtime.telemetry rt) in
-        (Observe.journeys o, Option.get (Runtime.int_sink rt))
+        (Observe.journeys o, Observe.int_sink o)
       in
       let jf, sf = run Asic.Chip.Fast in
       let jr, sr = run Asic.Chip.Reference in

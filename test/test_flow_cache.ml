@@ -58,7 +58,8 @@ let emc capacity =
     Runtime.Engine.cache = Runtime.Engine.Emc { capacity };
   }
 
-let cached ?(capacity = 256) () = runtime ~engine:(emc capacity) ()
+let cached ?(capacity = 256) ?(domains = 1) () =
+  runtime ~engine:{ (emc capacity) with Runtime.Engine.domains } ()
 
 let cache rt = Option.get (Runtime.flow_cache rt)
 
@@ -432,9 +433,9 @@ let test_parallel_with_cache_matches_sequential () =
        ~each:(fun i r -> oracle.(i) <- signature_of r)
        (runtime ()) workload);
   let par =
-    Runtime.process_batch_parallel ~domains:4
+    Runtime.process_batch
       ~each:(fun i r -> sigs.(i) <- signature_of r)
-      (cached ()) workload
+      (cached ~domains:4 ()) workload
   in
   check Alcotest.bool "totals match sequential uncached" true
     (seq.Runtime.emitted = par.Runtime.emitted

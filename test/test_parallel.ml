@@ -1,5 +1,5 @@
-(* The sharded data plane: process_batch_parallel must be
-   indistinguishable from sequential process_batch — digest-identical
+(* The sharded data plane: process_batch at Engine.domains = k must be
+   indistinguishable from the sequential run — digest-identical
    at domains:1, and per-packet-equivalent for any shard count on
    workloads that respect flow affinity (including stateful NFs: the
    LB session table, static NAT, the per-tenant rate limiter and the
@@ -51,6 +51,10 @@ let runtime ?engine () =
   let rt = Runtime.create ?engine compiled in
   Nflib.Catalog.attach_handlers rt compiled;
   rt
+
+(* A runtime whose batches shard over [domains]. *)
+let sharded ?(engine = Runtime.Engine.default) domains =
+  runtime ~engine:{ engine with Runtime.Engine.domains } ()
 
 let tcp ~src ~dst ~src_port ~dst_port =
   Netpkt.Pkt.encode
@@ -129,9 +133,7 @@ let test_domains1_digest_identical () =
   let st = Random.State.make [| 7 |] in
   let workload = random_workload st 64 in
   let seq = Runtime.process_batch (runtime ()) workload in
-  let par =
-    Runtime.process_batch_parallel ~domains:1 (runtime ()) workload
-  in
+  let par = Runtime.process_batch (sharded 1) workload in
   check Alcotest.bool "identical batch_stats (digest included)" true (seq = par)
 
 (* Integer totals and per-packet outcomes for k ∈ {1, 2, 4}: latency is
@@ -164,7 +166,7 @@ let prop_parallel_equals_sequential =
           let par, sigs =
             run_with_signatures
               ~f:(fun each w ->
-                Runtime.process_batch_parallel ~each ~domains (runtime ()) w)
+                Runtime.process_batch ~each (sharded domains) w)
               workload
           in
           totals_match seq par && sigs = oracle)
@@ -196,7 +198,7 @@ let test_rate_limiter_budget_across_shards () =
       let par, sigs =
         run_with_signatures
           ~f:(fun each w ->
-            Runtime.process_batch_parallel ~each ~domains (runtime ()) w)
+            Runtime.process_batch ~each (sharded domains) w)
           workload
       in
       check Alcotest.bool
@@ -235,8 +237,8 @@ let test_telemetry_merges_across_shards () =
   in
   let seq_rt = runtime ~engine () in
   let seq = Runtime.process_batch seq_rt workload in
-  let par_rt = runtime ~engine () in
-  let par = Runtime.process_batch_parallel ~domains:3 par_rt workload in
+  let par_rt = sharded ~engine 3 in
+  let par = Runtime.process_batch par_rt workload in
   check Alcotest.bool "stats totals agree" true (totals_match seq par);
   check
     Alcotest.(list (pair string int))
@@ -312,7 +314,7 @@ let test_bidirectional_flows_share_a_shard () =
       let par, sigs =
         run_with_signatures
           ~f:(fun each w ->
-            Runtime.process_batch_parallel ~each ~domains (runtime ()) w)
+            Runtime.process_batch ~each (sharded domains) w)
           workload
       in
       check Alcotest.bool

@@ -399,26 +399,27 @@ let test_live_reshard_digest_equals_cold () =
   let w2 = lb_workload ~flows:29 ~per_flow:1 in
   let w3 = lb_workload ~flows:7 ~per_flow:3 in
   let live = mk 2 in
-  ignore (Runtime.process_batch_parallel live w1);
+  ignore (Runtime.process_batch live w1);
   check Alcotest.int "two shard stores" 2
     (Array.length (Runtime.state_stores live));
   Runtime.configure live { (Runtime.engine live) with Runtime.Engine.domains = 4 };
   check Alcotest.int "migrated to four" 4
     (Array.length (Runtime.state_stores live));
-  ignore (Runtime.process_batch_parallel live w2);
+  ignore (Runtime.process_batch live w2);
   Runtime.configure live { (Runtime.engine live) with Runtime.Engine.domains = 1 };
   check Alcotest.int "migrated to one" 1
     (Array.length (Runtime.state_stores live));
-  ignore (Runtime.process_batch_parallel live w3);
+  ignore (Runtime.process_batch live w3);
   let cold = mk 1 in
-  ignore (Runtime.process_batch_parallel cold (w1 @ w2 @ w3));
+  ignore (Runtime.process_batch cold (w1 @ w2 @ w3));
   check Alcotest.bool "live re-sharded digest = cold-built digest" true
     (State_store.digest (Runtime.state_stores live)
     = State_store.digest (Runtime.state_stores cold));
   (* And the ledger saw every distinct flow exactly once. *)
-  match Runtime.state_store cold with
-  | None -> Alcotest.fail "state store missing"
-  | Some store ->
+  match Runtime.state_stores cold with
+  | [||] -> Alcotest.fail "state store missing"
+  | stores ->
+      let store = stores.(0) in
       let tbl =
         State_store.table store ~name:Nflib.Lb.state_table_name
           ~key:State_store.Conv.five_tuple ~value:State_store.Conv.ip4 ()
@@ -449,9 +450,10 @@ let test_eviction_invalidates_cached_verdict () =
      entry through the typed-op layer. *)
   ignore (send rt b);
   ignore (send rt c);
-  (match Runtime.state_store rt with
-  | None -> Alcotest.fail "state store missing"
-  | Some store ->
+  (match Runtime.state_stores rt with
+  | [||] -> Alcotest.fail "state store missing"
+  | stores ->
+      let store = stores.(0) in
       let occ =
         List.fold_left
           (fun acc (_, occ, _) -> acc + occ)
@@ -506,6 +508,78 @@ let test_state_off_identical () =
     && off.Runtime.to_cpu = on.Runtime.to_cpu
     && off.Runtime.errors = on.Runtime.errors)
 
+(* A connection-churn batch: mostly new flows, every fourth packet a
+   repeat of an earlier flow of the batch. *)
+let churn_batch n =
+  let fresh = ref 0 in
+  Array.to_list
+    (Array.init n (fun i ->
+         let f =
+           if i mod 4 = 3 then (i * 7919) mod !fresh
+           else begin
+             incr fresh;
+             !fresh - 1
+           end
+         in
+         red ~src_octet:(1 + (f mod 200)) ~src_port:(2000 + f)))
+
+let occupancy rt =
+  Array.fold_left
+    (fun acc store ->
+      List.fold_left (fun acc (_, occ, _) -> acc + occ) acc (State_store.per_table store))
+    0 (Runtime.state_stores rt)
+
+let union_digest rt = State_store.digest (Runtime.state_stores rt)
+
+(* An explicit [~domains] that differs from the engine's is a recorded
+   re-shard: the engine reads the new count afterwards, so a replay
+   through [process_batch] binds every shard to its own store and the
+   stores end exactly where an all-sequential run's do. *)
+let test_explicit_domains_is_recorded () =
+  let batch = churn_batch 256 in
+  let seq = lb_runtime ~engine:(engine ~capacity:4096 ()) () in
+  ignore (Runtime.process_batch seq batch);
+  ignore (Runtime.process_batch seq batch);
+  let rt = lb_runtime ~engine:(engine ~capacity:4096 ()) () in
+  ignore (Runtime.process_batch_parallel ~domains:4 rt batch);
+  check Alcotest.int "engine records the shard count" 4
+    (Runtime.engine rt).Runtime.Engine.domains;
+  check Alcotest.int "one store per shard" 4
+    (Array.length (Runtime.state_stores rt));
+  ignore (Runtime.process_batch rt batch);
+  check Alcotest.bool "union digest = all-sequential digest" true
+    (union_digest rt = union_digest seq)
+
+(* The control plane's aging tick: with a 1 us TTL, advancing the clock
+   2 us expires every session, and the count it returns is exactly the
+   drop in occupancy summed over the shard stores — the same at one
+   and two domains. Expiry deletes each session's chip entry, so
+   replaying the batch sequentially punts once per expired entry. *)
+let test_advance_state_time () =
+  let batch = churn_batch 64 in
+  let run domains =
+    let rt =
+      lb_runtime ~engine:(engine ~domains ~capacity:4096 ~ttl_ns:1_000L ()) ()
+    in
+    ignore (Runtime.process_batch rt batch);
+    let before = occupancy rt in
+    let expired = Runtime.advance_state_time rt 2_000L in
+    check Alcotest.int
+      (Printf.sprintf "domains:%d expired = occupancy drop" domains)
+      (before - occupancy rt) expired;
+    (rt, expired)
+  in
+  let rt1, expired1 = run 1 in
+  check Alcotest.int "one session per distinct flow expired" 48 expired1;
+  check Alcotest.int "stores empty" 0 (occupancy rt1);
+  let rt2, expired2 = run 2 in
+  check Alcotest.int "domains:2 expires the same count" expired1 expired2;
+  check Alcotest.bool "domains:2 union digest = domains:1" true
+    (union_digest rt1 = union_digest rt2);
+  let replay = Runtime.process_batch rt1 batch in
+  check Alcotest.int "replay punts once per expired entry" expired1
+    replay.Runtime.counters.Runtime.Counters.cpu_round_trips
+
 let () =
   Alcotest.run "state_store"
     [
@@ -532,6 +606,8 @@ let () =
             test_migrate_rehomes_and_preserves_union;
           Alcotest.test_case "live re-shard digest = cold" `Quick
             test_live_reshard_digest_equals_cold;
+          Alcotest.test_case "explicit domains is recorded" `Quick
+            test_explicit_domains_is_recorded;
         ] );
       ( "runtime",
         [
@@ -541,5 +617,7 @@ let () =
             test_state_gauges_in_snapshot;
           Alcotest.test_case "state off identical" `Quick
             test_state_off_identical;
+          Alcotest.test_case "advance state time" `Quick
+            test_advance_state_time;
         ] );
     ]

@@ -163,11 +163,11 @@ let frame_of_kind kind i =
       flow ~src:"203.0.113.9" ~dst:Nflib.Catalog.tenant1_vip
         ~src_port:(50000 + (i mod 61)) ~dst_port:80
 
-let fresh_runtime () =
+let fresh_runtime ?engine () =
   let compiled =
     Result.get_ok (Compiler.compile (Nflib.Catalog.edge_cloud_input ()))
   in
-  let rt = Runtime.create compiled in
+  let rt = Runtime.create ?engine compiled in
   Nflib.Catalog.attach_handlers rt compiled;
   rt
 
@@ -185,7 +185,7 @@ let prop_observation_only =
       let workload = List.mapi (fun i k -> (0, frame_of_kind k i)) kinds in
       let run level =
         let rt = fresh_runtime () in
-        Runtime.set_telemetry rt level;
+        Runtime.configure rt { (Runtime.engine rt) with Runtime.Engine.telemetry = level };
         Runtime.process_batch rt workload
       in
       let off = run Telemetry.Level.Off in
@@ -200,7 +200,7 @@ let test_traces_unchanged () =
   let frame = frame_of_kind 0 7 in
   let walk level =
     let rt = fresh_runtime () in
-    Runtime.set_telemetry rt level;
+    Runtime.configure rt { (Runtime.engine rt) with Runtime.Engine.telemetry = level };
     match Asic.Chip.inject (Runtime.chip rt) ~in_port:0 frame with
     | Ok r -> r.Asic.Chip.trace
     | Error e -> Alcotest.fail e
@@ -222,7 +222,8 @@ let count_of snap name =
 
 let test_counters_content () =
   let rt = fresh_runtime () in
-  Runtime.set_telemetry rt Telemetry.Level.Counters;
+  Runtime.configure rt
+    { (Runtime.engine rt) with Runtime.Engine.telemetry = Telemetry.Level.Counters };
   let n = 30 in
   let workload = List.init n (fun i -> (0, frame_of_kind i i)) in
   let stats = Runtime.process_batch rt workload in
@@ -258,7 +259,8 @@ let test_counters_content () =
       check Alcotest.bool "nonzero time" true (sum > 0)
   | _ -> Alcotest.fail "runtime.ns_per_packet missing");
   (* Off detaches: table stats discarded. *)
-  Runtime.set_telemetry rt Telemetry.Level.Off;
+  Runtime.configure rt
+    { (Runtime.engine rt) with Runtime.Engine.telemetry = Telemetry.Level.Off };
   check Alcotest.bool "telemetry off" true (Runtime.telemetry rt = None);
   let all_off =
     List.for_all
@@ -274,7 +276,12 @@ let test_counters_content () =
 
 let test_journey_capture () =
   let rt = fresh_runtime () in
-  Runtime.set_telemetry ~ring_capacity:8 rt Telemetry.Level.Journeys;
+  Runtime.configure rt
+    {
+      (Runtime.engine rt) with
+      Runtime.Engine.telemetry = Telemetry.Level.Journeys;
+      ring_capacity = 8;
+    };
   let n = 12 in
   let workload = List.init n (fun i -> (0, frame_of_kind 2 i)) in
   ignore (Runtime.process_batch rt workload);
@@ -345,7 +352,38 @@ let test_batch_error_log () =
         && String.length msg >= 3
         && msg <> ""))
     stats.Runtime.error_log;
-  check Alcotest.int "good packets still processed" 2 stats.Runtime.emitted
+  check Alcotest.int "good packets still processed" 2 stats.Runtime.emitted;
+  (* Sharded: the shard logs merge before the cap applies, and the
+     registry's suppressed counter agrees with the merged batch —
+     through the batch entry point and through its compatibility
+     shim alike. *)
+  List.iter
+    (fun (entry, run) ->
+      let rt =
+        fresh_runtime
+          ~engine:
+            {
+              Runtime.Engine.default with
+              Runtime.Engine.domains = 2;
+              telemetry = Telemetry.Level.Counters;
+            }
+          ()
+      in
+      let junk = List.init 10 (fun i -> (i mod 2, Bytes.make 3 '\x00')) in
+      let stats = run rt junk in
+      let label s = Printf.sprintf "%s domains:2 %s" entry s in
+      check Alcotest.int (label "errors counted") 10 stats.Runtime.errors;
+      check Alcotest.int (label "log capped") Runtime.max_error_log
+        (List.length stats.Runtime.error_log);
+      check Alcotest.int (label "suppressed") 2 stats.Runtime.suppressed;
+      let reg = Observe.registry (Option.get (Runtime.telemetry rt)) in
+      check Alcotest.int (label "registry batch.errors_suppressed")
+        stats.Runtime.suppressed
+        !(Telemetry.Registry.counter reg "batch.errors_suppressed"))
+    [
+      ("process_batch", fun rt w -> Runtime.process_batch rt w);
+      ("shim", fun rt w -> Runtime.process_batch_parallel rt w);
+    ]
 
 let () =
   Alcotest.run "telemetry"
