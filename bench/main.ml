@@ -924,9 +924,9 @@ let bench_runtime () =
           match Runtime.telemetry rt with
           | None -> "null"
           | Some o -> (
-              match Telemetry.Ring.last (Observe.ring o) with
-              | None -> "null"
-              | Some j -> Telemetry.Journey.to_json ~indent:2 j)
+              match List.rev (Observe.journeys o) with
+              | [] -> "null"
+              | j :: _ -> Telemetry.Journey.to_json ~indent:2 j)
         in
         let oc = open_out "divergence.json" in
         Printf.fprintf oc
@@ -989,13 +989,13 @@ let bench_runtime () =
       Format.printf
         "counters overhead vs fast: %+.1f%% (budget 5%%), outputs identical=%b@."
         pct same_outputs;
-      (match Runtime.telemetry tele_rt with
+      (match Runtime.snapshot tele_rt with
       | None -> ()
-      | Some o ->
+      | Some snap ->
           Format.printf "@.telemetry registry after the counters run:@.";
-          Format.printf "%t@." (fun ppf -> Observe.pp ppf o (Runtime.chip tele_rt));
+          Format.printf "%a@." Telemetry.Registry.pp snap;
           Format.printf "@.as JSON:@.%s@."
-            (Observe.json ~indent:2 o (Runtime.chip tele_rt)));
+            (Telemetry.Registry.to_json ~indent:2 snap));
       if not same_outputs then begin
         Format.printf "ERROR: Counters telemetry changed batch outputs!@.";
         exit 1

@@ -658,8 +658,8 @@ let stats_cmd =
       value & flag
       & info [ "postcards" ]
           ~doc:
-            "Also print the INT postcard sink's per-flow summaries \
-             (implies --level journeys).")
+            "Also print the INT per-flow summaries of every recorded \
+             journey (implies --level journeys).")
   in
   let run strategy extended packets level json n_journeys entries engine
       prometheus jsonl postcards =
@@ -694,15 +694,13 @@ let stats_cmd =
       else print_string (Telemetry.Export.json_lines snap)
     end
     else
-    match Runtime.telemetry rt with
-    | None -> ()
-    | Some o ->
+    match (Runtime.telemetry rt, Runtime.snapshot rt) with
+    | None, _ | _, None -> ()
+    | Some o, Some snap ->
         let chip = Runtime.chip rt in
-        (* Sync the snapshot-time gauges (cache occupancy, INT sink
-           sizes) so the table shows them too. *)
-        ignore (Runtime.snapshot rt);
-        if json then print_string (Observe.json ~indent:2 o chip ^ "\n")
-        else Format.printf "%t@." (fun ppf -> Observe.pp ppf o chip);
+        if json then
+          print_string (Telemetry.Registry.to_json ~indent:2 snap ^ "\n")
+        else Format.printf "%a@." Telemetry.Registry.pp snap;
         if entries then begin
           Format.printf "@.per-entry hits (hit > 0):@.";
           List.iter
@@ -724,12 +722,12 @@ let stats_cmd =
           else begin
             Format.printf "@.flight recorder (last %d of %d captured):@."
               (List.length js)
-              (Telemetry.Ring.pushed (Observe.ring o));
+              (Observe.recorded o);
             List.iter (Format.printf "%a@." Telemetry.Journey.pp) js
           end
         end;
         (if postcards then
-           let sink = Observe.int_sink o in
+           let sink = Observe.flow_summaries o in
            if json then
              print_string
                ("[\n"

@@ -102,7 +102,7 @@ let replicate t =
 (* Fold a replica's table tallies back into this chip's: pipelet arrays
    have identical shapes by construction, tables pair by name. The
    tallies land in the live [Table.stats] records, so a later
-   [Observe.sync_tables] naturally sees the merged counts. *)
+   [Observe.snapshot] naturally sees the merged counts. *)
 let merge_stats ~into src =
   let each a b =
     let tbls_b = Pipelet.tables b in

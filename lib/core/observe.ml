@@ -1,16 +1,18 @@
 (* The glue between the generic telemetry library and this data plane:
-   owns the registry and the flight-recorder ring, installs the chip
-   hooks (table stats, per-NF label counters, the SFC journey probe),
-   and turns raw chip results into journey spans and JSON. *)
+   owns the registry, the flight-recorder ring and the per-flow INT
+   summaries, installs the chip hooks (table stats, per-NF label
+   counters, the SFC journey probe), and turns raw chip results into
+   the one per-packet hop record, the journey. *)
 
 type t = {
   level : Telemetry.Level.t;
   reg : Telemetry.Registry.t;
   ring : Telemetry.Journey.t Telemetry.Ring.t;
-  (* INT postcard sink: per-flow aggregation of the per-hop records
-     journeys carry; sized like the flight recorder. *)
-  sink : Telemetry.Int_report.t;
-  mutable next_id : int;
+  (* Every recorded journey folded per flow — the INT postcard view of
+     the same records the ring keeps the tail of. *)
+  flows : Telemetry.Int_report.t;
+  (* Journeys ever recorded, shards included; also the next id. *)
+  mutable recorded : int;
 }
 
 let default_ring_capacity = 256
@@ -20,19 +22,15 @@ let create ?(ring_capacity = default_ring_capacity) level =
     level;
     reg = Telemetry.Registry.create ();
     ring = Telemetry.Ring.create ring_capacity;
-    sink = Telemetry.Int_report.create ~ring_capacity ();
-    next_id = 0;
+    flows = Telemetry.Int_report.create ();
+    recorded = 0;
   }
 
 let level t = t.level
 let registry t = t.reg
-let ring t = t.ring
-let int_sink t = t.sink
-
-let next_journey_id t =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  id
+let recorded t = t.recorded
+let flow_summaries t = t.flows
+let journeys t = Telemetry.Ring.to_list t.ring
 
 let nf_counter_name nf = "nf." ^ nf ^ ".applies"
 
@@ -54,17 +52,14 @@ let sfc_probe phv =
   in
   { Telemetry.Journey.sfc; headers }
 
-(* The registry is an explicit argument — nothing global: each observer
-   (one per domain in a parallel run) wires its own registry into the
-   chip it instruments. *)
-let attach ~registry ~level chip =
+(* Each observer (one per domain in a parallel run) wires its own
+   registry into the chip it instruments — nothing global. *)
+let attach t chip =
   Asic.Chip.set_telemetry
     ~label_counters:(fun nf ->
-      Telemetry.Registry.counter registry (nf_counter_name nf))
-    chip level;
+      Telemetry.Registry.counter t.reg (nf_counter_name nf))
+    chip t.level;
   Asic.Chip.set_sfc_probe chip sfc_probe
-
-let attach_observer t chip = attach ~registry:t.reg ~level:t.level chip
 
 let detach chip = Asic.Chip.set_telemetry chip Telemetry.Level.Off
 
@@ -126,8 +121,63 @@ let verdict_string = function
   | Asic.Chip.Dropped -> "dropped"
   | Asic.Chip.To_cpu _ -> "to_cpu"
 
-let record_journey t j = Telemetry.Ring.push t.ring j
-let journeys t = Telemetry.Ring.to_list t.ring
+(* The flow key: the canonical 5-tuple rendering when the frame parses,
+   else the arrival port — same fallback the shard hash uses, so
+   unparseable traffic aggregates per port. *)
+let flow_key ~in_port frame =
+  match Netpkt.Pkt.decode frame with
+  | Error _ -> Printf.sprintf "port:%d" in_port
+  | Ok layers -> (
+      match Netpkt.Pkt.five_tuple_of layers with
+      | Some ft -> Format.asprintf "%a" Netpkt.Flow.pp_five_tuple ft
+      | None -> Printf.sprintf "port:%d" in_port)
+
+(* One result per injection, so the walk's totals are sums over
+   [results] and every injection after the first was a CPU round trip.
+   A failed injection left no result: an error's totals cover the
+   completed passes. *)
+let record t ~in_port ~wall_ns frame results outcome =
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 results in
+  let verdict, latency_ns =
+    match outcome with
+    | Ok (v, latency_ns) -> (verdict_string v, latency_ns)
+    | Error e ->
+        let lat acc r = acc +. r.Asic.Chip.latency_ns in
+        ("error:" ^ e, List.fold_left lat 0.0 results)
+  in
+  let j =
+    {
+      Telemetry.Journey.id = t.recorded;
+      in_port;
+      flow = flow_key ~in_port frame;
+      verdict;
+      cpu_round_trips = max 0 (List.length results - 1);
+      recircs = sum (fun r -> r.Asic.Chip.recircs);
+      resubmits = sum (fun r -> r.Asic.Chip.resubmits);
+      latency_ns;
+      wall_ns;
+      hops = List.concat_map hops_of_result results;
+    }
+  in
+  t.recorded <- t.recorded + 1;
+  Telemetry.Ring.push t.ring j;
+  Telemetry.Int_report.push t.flows j
+
+(* A shard's retained journeys are the last of the [src.recorded] it
+   saw; renumbering them from their place in the shard-order sequence
+   keeps ids equal to record positions across the merge. Flow
+   affinity means a flow's summary lives on exactly one shard, so the
+   summary fold never double-counts a flow. *)
+let merge ~into src =
+  Telemetry.Registry.merge ~into:into.reg src.reg;
+  let kept = journeys src in
+  let first = into.recorded + src.recorded - List.length kept in
+  List.iteri
+    (fun i j ->
+      Telemetry.Ring.push into.ring { j with Telemetry.Journey.id = first + i })
+    kept;
+  into.recorded <- into.recorded + src.recorded;
+  Telemetry.Int_report.merge ~into:into.flows src.flows
 
 (* Copy the live table tallies (kept in each table's entry store, where
    the lookup paths can bump them cheaply) into registry counters so a
@@ -151,8 +201,17 @@ let sync_tables t chip =
         (Asic.Pipelet.tables pl))
     (Asic.Chip.pipelets chip)
 
+(* The INT sizes are written here, at snapshot time and on the primary
+   only, like every other absolute value the registry reports. *)
 let snapshot t chip =
   sync_tables t chip;
+  if t.recorded > 0 then begin
+    Telemetry.Registry.gauge t.reg "int.flows"
+    := List.length (Telemetry.Int_report.summaries t.flows);
+    Telemetry.Registry.counter t.reg "int.postcards" := t.recorded;
+    Telemetry.Registry.counter t.reg "int.dropped_flows"
+    := Telemetry.Int_report.dropped_flows t.flows
+  end;
   Telemetry.Registry.snapshot t.reg
 
 let table_entry_hits chip =
@@ -169,8 +228,3 @@ let table_entry_hits chip =
                   P4ir.Table.entry_hits tbl ))
         (Asic.Pipelet.tables pl))
     (Asic.Chip.pipelets chip)
-
-let json ?indent t chip =
-  Telemetry.Registry.to_json ?indent (snapshot t chip)
-
-let pp ppf t chip = Telemetry.Registry.pp ppf (snapshot t chip)

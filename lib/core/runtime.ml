@@ -214,7 +214,7 @@ let sync t =
 (* An observer attached to [chip], its hot-path counters resolved. *)
 let observer chip level ring_capacity =
   let o = Observe.create ~ring_capacity level in
-  Observe.attach_observer o chip;
+  Observe.attach o chip;
   let reg = Observe.registry o in
   let c = Telemetry.Registry.counter reg in
   let n_ports = Asic.Spec.n_eth_ports (Asic.Chip.spec chip) in
@@ -439,17 +439,6 @@ let find_handler t sh sfc =
           | None -> None
           | Some nf -> Hashtbl.find_opt sh.handlers nf))
 
-(* The INT postcard's flow key: the canonical 5-tuple rendering when the
-   frame parses, else the arrival port — same fallback the shard hash
-   uses, so unparseable traffic aggregates per port. *)
-let flow_key ~in_port frame =
-  match Netpkt.Pkt.decode frame with
-  | Error _ -> Printf.sprintf "port:%d" in_port
-  | Ok layers -> (
-      match Netpkt.Pkt.five_tuple_of layers with
-      | Some ft -> Format.asprintf "%a" Netpkt.Flow.pp_five_tuple ft
-      | None -> Printf.sprintf "port:%d" in_port)
-
 (* One packet through shard [sh]: the runtime's single packet loop. *)
 let run_packet t sh ~in_port frame =
   (* [mirrored_rev] accumulates reversed (rev_append per pass, one final
@@ -580,51 +569,10 @@ let run_packet t sh ~in_port frame =
       match jr with
       | None -> ()
       | Some l ->
-          let results = List.rev !l in
-          let hops = List.concat_map Observe.hops_of_result results in
-          let verdict, rounds, recircs, resubmits, latency =
-            match res with
-            | Ok o ->
-                ( Observe.verdict_string o.verdict,
-                  o.counters.Counters.cpu_round_trips,
-                  o.counters.Counters.recircs,
-                  o.counters.Counters.resubmits,
-                  o.counters.Counters.latency_ns )
-            | Error e ->
-                (* The failed injection produced no result — reconstruct
-                   what we can from the completed passes. *)
-                ( "error:" ^ e,
-                  max 0 (List.length results - 1),
-                  List.fold_left (fun a r -> a + r.Asic.Chip.recircs) 0 results,
-                  List.fold_left
-                    (fun a r -> a + r.Asic.Chip.resubmits)
-                    0 results,
-                  List.fold_left
-                    (fun a r -> a +. r.Asic.Chip.latency_ns)
-                    0.0 results )
-          in
-          Observe.record_journey os.o
-            {
-              Telemetry.Journey.id = Observe.next_journey_id os.o;
-              in_port;
-              verdict;
-              cpu_round_trips = rounds;
-              recircs;
-              resubmits;
-              latency_ns = latency;
-              wall_ns = wall;
-              hops;
-            };
-          (* The same hop records, reported INT-postcard-style: keyed by
-             flow and folded into the per-flow aggregate. *)
-          Telemetry.Int_report.push (Observe.int_sink os.o)
-            {
-              Telemetry.Int_report.flow = flow_key ~in_port frame;
-              in_port;
-              verdict;
-              wall_ns = wall;
-              hops;
-            }));
+          Observe.record os.o ~in_port ~wall_ns:wall frame (List.rev !l)
+            (Result.map
+               (fun o -> (o.verdict, o.counters.Counters.latency_ns))
+               res)));
   res
 
 let process t ~in_port frame = run_packet t t.main ~in_port frame
@@ -781,23 +729,15 @@ let replica t d =
 
 (* Fold a finished replica's observations into the primary: table
    tallies into the primary chip's live stats (so a later snapshot's
-   sync_tables sees them), registry counters and histograms directly,
-   journeys into the primary ring with fresh ids, and per-flow INT
-   aggregates field-wise — flow affinity means a flow's summary lives
-   on exactly one shard, so the fold never double-counts a flow. Cache
-   entries die with the replica; its tallies fold back so [flow_cache]
-   keeps runtime-wide hit/miss accounting. *)
+   table sync sees them) and the observer — registry, journeys, flow
+   summaries — through [Observe.merge]. Cache entries die with the
+   replica; its tallies fold back so [flow_cache] keeps runtime-wide
+   hit/miss accounting. *)
 let fold_back t sh =
   (match (t.main.obs, sh.obs) with
   | Some os, Some ros ->
       Asic.Chip.merge_stats ~into:t.main.chip sh.chip;
-      Telemetry.Registry.merge ~into:(Observe.registry os.o) (Observe.registry ros.o);
-      List.iter
-        (fun j ->
-          Observe.record_journey os.o
-            { j with Telemetry.Journey.id = Observe.next_journey_id os.o })
-        (Observe.journeys ros.o);
-      Telemetry.Int_report.merge ~into:(Observe.int_sink os.o) (Observe.int_sink ros.o)
+      Observe.merge ~into:os.o ros.o
   | _ -> ());
   match (t.main.cache, sh.cache) with
   | Some root, Some rc -> Flow_cache.merge_stats ~into:root rc
@@ -894,23 +834,25 @@ let process_batch_parallel ?domains ?each t pkts =
 
 (* --- Snapshot front door --- *)
 
-(* Absolute gauges (cache occupancy, INT flow counts, queue depth) are
-   written into the registry only here, at snapshot time — never on the
+(* Absolute values — the gauges (cache and store occupancy and
+   capacity, queue depth) and the tallies other components keep — are
+   written into the registry only here, at snapshot time: never on the
    hot path and never on a shard replica, so [Registry.merge] (which
-   sums) cannot double-count them when sharded batches fold replica
-   registries back. *)
+   sums counters) cannot double-count them when sharded batches fold
+   replica registries back. *)
 let sync_gauges t =
   match t.main.obs with
   | None -> ()
   | Some os ->
       let reg = Observe.registry os.o in
       let set name v = Telemetry.Registry.counter reg name := v in
+      let level name v = Telemetry.Registry.gauge reg name := v in
       (match t.main.cache with
       | None -> ()
       | Some c ->
           let s = Flow_cache.stats c in
-          set "cache.occupancy" (Flow_cache.length c);
-          set "cache.capacity" (Flow_cache.capacity c);
+          level "cache.occupancy" (Flow_cache.length c);
+          level "cache.capacity" (Flow_cache.capacity c);
           set "cache.inserts" s.Flow_cache.inserts;
           set "cache.evictions" s.Flow_cache.evictions;
           set "cache.stale" s.Flow_cache.stale;
@@ -920,8 +862,9 @@ let sync_gauges t =
          stores in shard order — the deterministic fold-back; written
          only here (primary, snapshot time), like every other gauge. *)
       if Array.length t.stores > 0 then begin
-        set "state.stores" (Array.length t.stores);
-        set "state.capacity" (State_store.config t.stores.(0)).State_store.capacity;
+        level "state.stores" (Array.length t.stores);
+        level "state.capacity"
+          (State_store.config t.stores.(0)).State_store.capacity;
         let acc = Hashtbl.create 8 in
         Array.iter
           (fun store ->
@@ -942,22 +885,16 @@ let sync_gauges t =
           t.stores;
         Hashtbl.iter
           (fun name (o, h, m, i, e, x) ->
-            let g metric v = set (Printf.sprintf "state.%s.%s" name metric) v in
-            g "occupancy" o;
-            g "hits" h;
-            g "misses" m;
-            g "inserts" i;
-            g "evictions" e;
-            g "expirations" x)
+            let key metric = Printf.sprintf "state.%s.%s" name metric in
+            level (key "occupancy") o;
+            set (key "hits") h;
+            set (key "misses") m;
+            set (key "inserts") i;
+            set (key "evictions") e;
+            set (key "expirations") x)
           acc
       end;
-      set "ctrl.pending" (Ctrl.pending t.ctrl);
-      let sink = Observe.int_sink os.o in
-      if Telemetry.Int_report.pushed sink > 0 then begin
-        set "int.flows" (Telemetry.Int_report.flows sink);
-        set "int.postcards" (Telemetry.Int_report.pushed sink);
-        set "int.dropped_flows" (Telemetry.Int_report.dropped_flows sink)
-      end
+      level "ctrl.pending" (Ctrl.pending t.ctrl)
 
 let snapshot t =
   match t.main.obs with

@@ -183,22 +183,24 @@ val sync : t -> int * (int * string) list
     per-port rx/tx, verdict and packet-path counters, error-class
     counters, an ns-per-packet histogram ([runtime.ns_per_packet],
     measured with two monotonic-clock reads around {!process}), and —
-    at [Journeys] — a per-packet journey span pushed into the flight
-    recorder and an INT postcard into {!Observe.int_sink}. [Off]
-    detaches everything and restores the uninstrumented fast path. *)
+    at [Journeys] — one journey per packet, handed to {!Observe.record},
+    which keeps it in the flight recorder and folds it into the per-flow
+    INT summaries. [Off] detaches everything and restores the
+    uninstrumented fast path. *)
 
 val telemetry : t -> Observe.t option
 (** The runtime's observer, when telemetry is on. Shard observers fold
     back into it after every sharded batch. *)
 
 val snapshot : t -> Telemetry.Registry.snapshot option
-(** The observability front door: sync the chip's live table tallies
-    and the absolute gauges — cache occupancy/capacity and validation
-    tallies ([cache.*]), pending ctrl batches ([ctrl.pending]), INT
-    sink sizes ([int.*]) — into the registry, then snapshot it. [None]
-    when telemetry is [Off]. Gauges are written only here (never on
-    the hot path, never on shard replicas), so sharded registry
-    merges cannot double-count them; feed the result to
+(** The observability front door: sync the chip's live table tallies,
+    the gauges — cache occupancy/capacity, state-store occupancy and
+    capacity, pending ctrl batches ([ctrl.pending]), INT flow count —
+    and the tallies other components keep (cache validation counts,
+    [state.*] store tallies, [int.postcards]) into the registry, then
+    snapshot it. [None] when telemetry is [Off]. These are written only
+    here (never on the hot path, never on shard replicas), so sharded
+    registry merges cannot double-count them; feed the result to
     {!Telemetry.Export.prometheus} / {!Telemetry.Export.json_lines}. *)
 
 (** {2 Batches} *)
@@ -257,11 +259,10 @@ val process_batch :
     persist on the primary chip, which is what keeps repeated runs
     identical; state-store entries do persist.
 
-    With telemetry on, each shard gets a private observer; counters and
-    histograms merge back into this runtime's registry afterwards
-    ({!Telemetry.Registry.merge}), table tallies fold into the primary
-    chip's live stats, and shard journeys re-enter the primary flight
-    recorder with fresh ids.
+    With telemetry on, each shard gets a private observer, folded back
+    in shard order afterwards by {!Observe.merge} (registry, journeys,
+    flow summaries, recorded count); table tallies fold into the
+    primary chip's live stats.
 
     In a sharded batch [each] runs on worker domains (for distinct
     packet indices, concurrently) — it must tolerate that, e.g. by

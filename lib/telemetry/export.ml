@@ -23,7 +23,7 @@ let mangle name =
    missing (empty) buckets implied by the next populated one. *)
 let add_histogram buf base (h : Registry.value) =
   match h with
-  | Registry.Vcount _ -> assert false
+  | Registry.Vcount _ | Registry.Vgauge _ -> assert false
   | Registry.Vhist { count; sum; buckets; _ } ->
       let cum = ref 0 in
       List.iter
@@ -53,6 +53,11 @@ let prometheus ?(namespace = "dejavu") snap =
             (Printf.sprintf "# HELP %s dejavu counter %s\n" m name);
           Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n" m);
           Buffer.add_string buf (Printf.sprintf "%s %d\n" m n)
+      | Registry.Vgauge n ->
+          Buffer.add_string buf
+            (Printf.sprintf "# HELP %s dejavu gauge %s\n" base name);
+          Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" base);
+          Buffer.add_string buf (Printf.sprintf "%s %d\n" base n)
       | Registry.Vhist _ ->
           Buffer.add_string buf
             (Printf.sprintf "# HELP %s dejavu histogram %s\n" base name);
@@ -182,10 +187,13 @@ let json_lines ?now_ns snap =
   List.iter
     (fun (name, v) ->
       (match v with
-      | Registry.Vcount n ->
+      | Registry.Vcount n | Registry.Vgauge n ->
+          let kind =
+            match v with Registry.Vgauge _ -> "gauge" | _ -> "counter"
+          in
           Buffer.add_string buf
-            (Printf.sprintf "{%s\"name\": %s, \"type\": \"counter\", \"value\": %d}"
-               ts (Json.str name) n)
+            (Printf.sprintf "{%s\"name\": %s, \"type\": \"%s\", \"value\": %d}"
+               ts (Json.str name) kind n)
       | Registry.Vhist h ->
           Buffer.add_string buf
             (Printf.sprintf
@@ -230,22 +238,23 @@ module Window = struct
         let secs = Int64.to_float (Int64.sub t1 t0) /. 1e9 in
         if secs <= 0.0 then []
         else
-          List.map
+          List.filter_map
             (fun (name, v) ->
               match v with
               | Registry.Vcount n ->
                   let prev =
                     match List.assoc_opt name old with
                     | Some (Registry.Vcount o) -> o
-                    | Some (Registry.Vhist _) | None -> 0
+                    | _ -> 0
                   in
-                  (name, float_of_int (n - prev) /. secs)
+                  Some (name, float_of_int (n - prev) /. secs)
+              | Registry.Vgauge _ -> None
               | Registry.Vhist { count; _ } ->
                   let prev =
                     match List.assoc_opt name old with
                     | Some (Registry.Vhist { count = o; _ }) -> o
-                    | Some (Registry.Vcount _) | None -> 0
+                    | _ -> 0
                   in
-                  (name ^ ".count", float_of_int (count - prev) /. secs))
+                  Some (name ^ ".count", float_of_int (count - prev) /. secs))
             now
 end

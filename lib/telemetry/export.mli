@@ -14,7 +14,8 @@ val mangle : string -> string
 
 val prometheus : ?namespace:string -> Registry.snapshot -> string
 (** The snapshot in Prometheus text exposition format (version 0.0.4):
-    counters as [<ns>_<name>_total] with [# TYPE ... counter],
+    counters as [<ns>_<name>_total] with [# TYPE ... counter], gauges
+    as [<ns>_<name>] with [# TYPE ... gauge],
     histograms as cumulative [_bucket{le="..."}] series (the log2
     bucket upper bounds, closing with [le="+Inf"]) plus [_sum] and
     [_count]. [namespace] (default ["dejavu"]) prefixes every metric.
@@ -34,7 +35,8 @@ val parse_prometheus : string -> (metric list, string) result
 
 val json_lines : ?now_ns:int64 -> Registry.snapshot -> string
 (** One self-contained JSON object per line (newline-terminated):
-    [{"name":..,"type":"counter","value":..}] for counters and
+    [{"name":..,"type":"counter","value":..}] for counters (["gauge"]
+    for gauges) and
     [{"name":..,"type":"histogram","count":..,"sum":..,"mean":..,
     "p50":..,"p99":..,"buckets":{..}}] for histograms, in snapshot
     (registration) order. [now_ns] stamps every line with a ["ts_ns"]
@@ -62,7 +64,8 @@ module Window : sig
   (** Per-second rates between the oldest and newest retained
       snapshots, in the newest snapshot's order: counters rate their
       value; histograms rate their sample [count] (reported under
-      [name ^ ".count"]). Empty with fewer than two snapshots or a
+      [name ^ ".count"]); gauges are levels, not tallies, and get no
+      rate. Empty with fewer than two snapshots or a
       zero span. Names absent from the oldest snapshot count from
       zero. *)
 end

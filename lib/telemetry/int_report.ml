@@ -1,15 +1,7 @@
-(* The postcard sink: a flight-recorder ring of full per-packet hop
-   reports plus a capped per-flow aggregation table. Everything is
-   plain data — the runtime owns one sink per observer and merges
-   shard sinks after a parallel batch, so no locking here. *)
-
-type postcard = {
-  flow : string;
-  in_port : int;
-  verdict : string;
-  wall_ns : int;
-  hops : Journey.hop list;
-}
+(* Per-flow aggregation of journeys: a capped table of running
+   summaries. Everything is plain data — each observer owns one and
+   shard observers merge theirs after a parallel batch, so no locking
+   here. *)
 
 type summary = {
   flow : string;
@@ -23,7 +15,6 @@ type summary = {
 }
 
 type t = {
-  ring : postcard Ring.t;
   table : (string, summary) Hashtbl.t;
   max_flows : int;
   mutable dropped : int;
@@ -31,68 +22,51 @@ type t = {
 
 let default_max_flows = 1024
 
-let create ?(max_flows = default_max_flows) ~ring_capacity () =
-  {
-    ring = Ring.create (max 1 ring_capacity);
-    table = Hashtbl.create 64;
-    max_flows = max 1 max_flows;
-    dropped = 0;
-  }
+let create ?(max_flows = default_max_flows) () =
+  { table = Hashtbl.create 64; max_flows = max 1 max_flows; dropped = 0 }
 
-let bump_verdict s v =
+(* [flow]'s summary, created empty on first sight — or [None] when the
+   flow is new and the table is full. *)
+let summary_for t flow =
+  match Hashtbl.find_opt t.table flow with
+  | Some s -> Some s
+  | None when Hashtbl.length t.table >= t.max_flows -> None
+  | None ->
+      let s =
+        {
+          flow;
+          packets = 0;
+          hops = 0;
+          latency_ns = 0.0;
+          max_hops = 0;
+          recircs = 0;
+          resubmits = 0;
+          verdicts = [];
+        }
+      in
+      Hashtbl.replace t.table flow s;
+      Some s
+
+let add_verdict s v n =
   let rec go = function
-    | [] -> [ (v, 1) ]
-    | (k, n) :: rest when k = v -> (k, n + 1) :: rest
+    | [] -> [ (v, n) ]
+    | (k, m) :: rest when k = v -> (k, m + n) :: rest
     | kv :: rest -> kv :: go rest
   in
   s.verdicts <- go s.verdicts
 
-(* The depth a walk reached is the last hop's depth counters; hop lists
-   are short (pass_limit-bounded), so the List walk is fine here. *)
-let depths hops =
-  match List.rev hops with
-  | [] -> (0, 0)
-  | h :: _ -> (h.Journey.recirc_depth, h.Journey.resubmit_depth)
-
-let aggregate s (p : postcard) =
-  let nhops = List.length p.hops in
-  let lat =
-    List.fold_left (fun a (h : Journey.hop) -> a +. h.Journey.latency_ns) 0.0 p.hops
-  in
-  let recircs, resubmits = depths p.hops in
-  s.packets <- s.packets + 1;
-  s.hops <- s.hops + nhops;
-  s.latency_ns <- s.latency_ns +. lat;
-  s.max_hops <- max s.max_hops nhops;
-  s.recircs <- s.recircs + recircs;
-  s.resubmits <- s.resubmits + resubmits;
-  bump_verdict s p.verdict
-
-let push t p =
-  Ring.push t.ring p;
-  match Hashtbl.find_opt t.table p.flow with
-  | Some s -> aggregate s p
-  | None ->
-      if Hashtbl.length t.table >= t.max_flows then t.dropped <- t.dropped + 1
-      else begin
-        let s =
-          {
-            flow = p.flow;
-            packets = 0;
-            hops = 0;
-            latency_ns = 0.0;
-            max_hops = 0;
-            recircs = 0;
-            resubmits = 0;
-            verdicts = [];
-          }
-        in
-        Hashtbl.replace t.table p.flow s;
-        aggregate s p
-      end
-
-let pushed t = Ring.pushed t.ring
-let recent t = Ring.to_list t.ring
+let push t (j : Journey.t) =
+  match summary_for t j.Journey.flow with
+  | None -> t.dropped <- t.dropped + 1
+  | Some s ->
+      let nhops = List.length j.Journey.hops in
+      s.packets <- s.packets + 1;
+      s.hops <- s.hops + nhops;
+      s.latency_ns <- s.latency_ns +. j.Journey.latency_ns;
+      s.max_hops <- max s.max_hops nhops;
+      s.recircs <- s.recircs + j.Journey.recircs;
+      s.resubmits <- s.resubmits + j.Journey.resubmits;
+      add_verdict s j.Journey.verdict 1
 
 let summaries t =
   let all = Hashtbl.fold (fun _ s acc -> s :: acc) t.table [] in
@@ -103,29 +77,13 @@ let summaries t =
       | c -> c)
     all
 
-let flows t = Hashtbl.length t.table
 let dropped_flows t = t.dropped
 
 let merge ~into src =
-  (* Summaries fold field-wise; ring entries re-enter so "recent
-     postcards" spans all shards (ring capacity still bounds it). *)
   Hashtbl.iter
     (fun flow (s : summary) ->
-      match Hashtbl.find_opt into.table flow with
-      | None when Hashtbl.length into.table >= into.max_flows ->
-          into.dropped <- into.dropped + s.packets
-      | None ->
-          Hashtbl.replace into.table flow
-            {
-              flow;
-              packets = s.packets;
-              hops = s.hops;
-              latency_ns = s.latency_ns;
-              max_hops = s.max_hops;
-              recircs = s.recircs;
-              resubmits = s.resubmits;
-              verdicts = s.verdicts;
-            }
+      match summary_for into flow with
+      | None -> into.dropped <- into.dropped + s.packets
       | Some d ->
           d.packets <- d.packets + s.packets;
           d.hops <- d.hops + s.hops;
@@ -133,21 +91,11 @@ let merge ~into src =
           d.max_hops <- max d.max_hops s.max_hops;
           d.recircs <- d.recircs + s.recircs;
           d.resubmits <- d.resubmits + s.resubmits;
-          List.iter
-            (fun (v, n) ->
-              let rec go = function
-                | [] -> [ (v, n) ]
-                | (k, m) :: rest when k = v -> (k, m + n) :: rest
-                | kv :: rest -> kv :: go rest
-              in
-              d.verdicts <- go d.verdicts)
-            s.verdicts)
+          List.iter (fun (v, n) -> add_verdict d v n) s.verdicts)
     src.table;
-  into.dropped <- into.dropped + src.dropped;
-  List.iter (Ring.push into.ring) (Ring.to_list src.ring)
+  into.dropped <- into.dropped + src.dropped
 
 let clear t =
-  Ring.clear t.ring;
   Hashtbl.reset t.table;
   t.dropped <- 0
 
@@ -163,28 +111,11 @@ let summary_to_json s =
     (Json.str s.flow) s.packets s.hops s.max_hops s.latency_ns s.recircs
     s.resubmits verdicts
 
-let postcard_to_json (p : postcard) =
-  let hops =
-    String.concat ", "
-      (List.map
-         (fun (h : Journey.hop) ->
-           Printf.sprintf
-             "{ \"pipelet\": %s, \"latency_ns\": %.1f, \"tables\": %d, \
-              \"recirc_depth\": %d, \"resubmit_depth\": %d }"
-             (Json.str h.Journey.pipelet) h.Journey.latency_ns
-             (List.length h.Journey.tables)
-             h.Journey.recirc_depth h.Journey.resubmit_depth)
-         p.hops)
-  in
-  Printf.sprintf
-    "{ \"flow\": %s, \"in_port\": %d, \"verdict\": %s, \"wall_ns\": %d, \
-     \"hops\": [%s] }"
-    (Json.str p.flow) p.in_port (Json.str p.verdict) p.wall_ns hops
-
 let pp_summaries ppf t =
   let ss = summaries t in
-  Format.fprintf ppf "@[<v>%d flows, %d postcards (%d flows dropped)@,"
-    (flows t) (pushed t) t.dropped;
+  let packets = List.fold_left (fun acc s -> acc + s.packets) 0 ss in
+  Format.fprintf ppf "@[<v>%d flows, %d packets (%d dropped: flow table full)@,"
+    (List.length ss) (packets + t.dropped) t.dropped;
   List.iter
     (fun s ->
       let mean_lat =
@@ -192,8 +123,8 @@ let pp_summaries ppf t =
         else s.latency_ns /. float_of_int s.packets
       in
       Format.fprintf ppf
-        "%-40s pkts=%-6d hops=%-5d max=%d lat/pkt=%.0fns %s@," s.flow s.packets
-        s.hops s.max_hops mean_lat
+        "%-40s pkts=%-6d hops=%-5d max=%d recircs=%d lat/pkt=%.0fns %s@,"
+        s.flow s.packets s.hops s.max_hops s.recircs mean_lat
         (String.concat " "
            (List.map (fun (v, n) -> Printf.sprintf "%s:%d" v n) s.verdicts)))
     ss;

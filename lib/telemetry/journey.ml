@@ -19,6 +19,7 @@ type hop = {
 type t = {
   id : int;
   in_port : int;
+  flow : string;
   verdict : string;
   cpu_round_trips : int;
   recircs : int;
@@ -67,6 +68,7 @@ let to_json ?(indent = 2) t =
     "{\n\
      %s\"id\": %d,\n\
      %s\"in_port\": %d,\n\
+     %s\"flow\": %s,\n\
      %s\"verdict\": %s,\n\
      %s\"cpu_round_trips\": %d,\n\
      %s\"recircs\": %d,\n\
@@ -75,17 +77,18 @@ let to_json ?(indent = 2) t =
      %s\"wall_ns\": %d,\n\
      %s\"hops\": [\n%s\n%s]\n\
      }"
-    pad t.id pad t.in_port pad (Json.str t.verdict) pad t.cpu_round_trips pad
-    t.recircs pad t.resubmits pad t.latency_ns pad t.wall_ns pad hops pad
+    pad t.id pad t.in_port pad (Json.str t.flow) pad (Json.str t.verdict) pad
+    t.cpu_round_trips pad t.recircs pad t.resubmits pad t.latency_ns pad
+    t.wall_ns pad hops pad
 
 let list_to_json l =
   "[\n" ^ String.concat ",\n" (List.map (to_json ~indent:2) l) ^ "\n]"
 
 let pp ppf t =
   Format.fprintf ppf
-    "@[<v 2>journey #%d in_port=%d %s (cpu=%d recircs=%d resubmits=%d \
+    "@[<v 2>journey #%d in_port=%d %s %s (cpu=%d recircs=%d resubmits=%d \
      latency=%.0fns wall=%dns)@,"
-    t.id t.in_port t.verdict t.cpu_round_trips t.recircs t.resubmits
+    t.id t.in_port t.flow t.verdict t.cpu_round_trips t.recircs t.resubmits
     t.latency_ns t.wall_ns;
   List.iter
     (fun h ->

@@ -31,6 +31,9 @@ type hop = {
 type t = {
   id : int;  (** recorder sequence number *)
   in_port : int;
+  flow : string;
+      (** the packet's canonical 5-tuple rendering, or ["port:<n>"] when
+          the frame has none — the key INT flow summaries aggregate by *)
   verdict : string;
       (** "emitted:<port>", "dropped", "to_cpu" or "error:<msg>" *)
   cpu_round_trips : int;

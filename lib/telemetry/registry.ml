@@ -1,4 +1,4 @@
-type item = C of int ref | H of Histogram.t
+type item = C of int ref | G of int ref | H of Histogram.t
 
 type t = {
   items : (string, item) Hashtbl.t;
@@ -7,37 +7,48 @@ type t = {
 
 let create () = { items = Hashtbl.create 64; rev_order = [] }
 
-let register t name item =
-  Hashtbl.add t.items name item;
-  t.rev_order <- name :: t.rev_order;
-  item
+let kind = function
+  | C _ -> "a counter"
+  | G _ -> "a gauge"
+  | H _ -> "a histogram"
+
+(* Find-or-create [name] as the kind [make] builds; [get] unwraps it and
+   refuses a name already registered as another kind. *)
+let find_or_add t name ~fn ~make get =
+  let item =
+    match Hashtbl.find_opt t.items name with
+    | Some item -> item
+    | None ->
+        let item = make () in
+        Hashtbl.add t.items name item;
+        t.rev_order <- name :: t.rev_order;
+        item
+  in
+  match get item with
+  | Some v -> v
+  | None ->
+      invalid_arg (Printf.sprintf "Registry.%s: %s is %s" fn name (kind item))
 
 let counter t name =
-  match Hashtbl.find_opt t.items name with
-  | Some (C r) -> r
-  | Some (H _) ->
-      invalid_arg (Printf.sprintf "Registry.counter: %s is a histogram" name)
-  | None -> ( match register t name (C (ref 0)) with C r -> r | H _ -> assert false)
+  find_or_add t name ~fn:"counter"
+    ~make:(fun () -> C (ref 0))
+    (function C r -> Some r | _ -> None)
+
+let gauge t name =
+  find_or_add t name ~fn:"gauge"
+    ~make:(fun () -> G (ref 0))
+    (function G r -> Some r | _ -> None)
 
 let histogram t name =
-  match Hashtbl.find_opt t.items name with
-  | Some (H h) -> h
-  | Some (C _) ->
-      invalid_arg (Printf.sprintf "Registry.histogram: %s is a counter" name)
-  | None -> (
-      match register t name (H (Histogram.create ())) with
-      | H h -> h
-      | C _ -> assert false)
+  find_or_add t name ~fn:"histogram"
+    ~make:(fun () -> H (Histogram.create ()))
+    (function H h -> Some h | _ -> None)
 
-let find_counter t name =
-  match Hashtbl.find_opt t.items name with Some (C r) -> Some r | _ -> None
-
-let find_histogram t name =
-  match Hashtbl.find_opt t.items name with Some (H h) -> Some h | _ -> None
-
-(* Fold [src] into [into]: counters add, histograms merge bucket-wise.
-   Iterating src in registration order keeps the merged registry's
-   display order sensible when [into] sees a name for the first time. *)
+(* Fold [src] into [into]: counters add, histograms merge bucket-wise,
+   gauges are left alone — an absolute level does not sum, and only the
+   primary writes one. Iterating src in registration order keeps the
+   merged registry's display order sensible when [into] sees a name for
+   the first time. *)
 let merge ~into src =
   List.iter
     (fun name ->
@@ -45,17 +56,19 @@ let merge ~into src =
       | C r ->
           let d = counter into name in
           d := !d + !r
+      | G _ -> ()
       | H h -> Histogram.merge_into ~dst:(histogram into name) h)
     (List.rev src.rev_order)
 
 let reset t =
   Hashtbl.iter
     (fun _ item ->
-      match item with C r -> r := 0 | H h -> Histogram.reset h)
+      match item with C r | G r -> r := 0 | H h -> Histogram.reset h)
     t.items
 
 type value =
   | Vcount of int
+  | Vgauge of int
   | Vhist of {
       count : int;
       sum : int;
@@ -103,6 +116,7 @@ let snapshot t =
     (fun name ->
       match Hashtbl.find t.items name with
       | C r -> (name, Vcount !r)
+      | G r -> (name, Vgauge !r)
       | H h -> (name, vhist_of_buckets (Histogram.nonzero h) (Histogram.sum h)))
     t.rev_order
 
@@ -111,7 +125,8 @@ let delta ~since now =
     (fun (name, v) ->
       match (v, List.assoc_opt name since) with
       | Vcount n, Some (Vcount o) -> Some (name, Vcount (n - o))
-      | Vcount n, (None | Some (Vhist _)) -> Some (name, Vcount n)
+      | Vcount n, _ -> Some (name, Vcount n)
+      | Vgauge _, _ -> Some (name, v)
       | Vhist h, Some (Vhist o) ->
           let diffed =
             List.filter_map
@@ -123,7 +138,7 @@ let delta ~since now =
               h.buckets
           in
           Some (name, vhist_of_buckets diffed (h.sum - o.sum))
-      | Vhist h, (None | Some (Vcount _)) ->
+      | Vhist h, _ ->
           Some (name, vhist_of_buckets h.buckets h.sum))
     now
 
@@ -138,7 +153,7 @@ let to_json ?(indent = 2) snap =
       Buffer.add_string buf (Json.str name);
       Buffer.add_string buf ": ";
       match v with
-      | Vcount n -> Buffer.add_string buf (string_of_int n)
+      | Vcount n | Vgauge n -> Buffer.add_string buf (string_of_int n)
       | Vhist h ->
           Buffer.add_string buf
             (Printf.sprintf
@@ -163,7 +178,7 @@ let pp ppf snap =
   List.iter
     (fun (name, v) ->
       match v with
-      | Vcount n -> Format.fprintf ppf "%-*s %12d@," width name n
+      | Vcount n | Vgauge n -> Format.fprintf ppf "%-*s %12d@," width name n
       | Vhist h ->
           Format.fprintf ppf "%-*s %12d samples  mean=%.0f p50<=%d p99<=%d@,"
             width name h.count h.mean h.p50 h.p99;

@@ -1,6 +1,6 @@
 (* Exporter and INT-report tests: Prometheus golden rendering and the
    parse round-trip, JSON-lines shape, windowed rate math, the INT
-   postcard sink's bounds/aggregation/merge, and the QCheck property
+   flow summaries' bounds/aggregation/merge, and the QCheck property
    pinning fast-mode INT hop records to the reference interpreter's
    trace segmentation. *)
 
@@ -109,7 +109,24 @@ let test_prometheus_roundtrip () =
         | a :: (b :: _ as rest) -> a <= b && monotone rest
         | _ -> true
       in
-      check Alcotest.bool "buckets cumulative" true (monotone buckets)
+      check Alcotest.bool "buckets cumulative" true (monotone buckets);
+      (* A gauge renders as a bare sample typed gauge, and parses back. *)
+      let reg = Telemetry.Registry.create () in
+      Telemetry.Registry.gauge reg "cache.occupancy" := 17;
+      let text = Telemetry.Export.prometheus (Telemetry.Registry.snapshot reg) in
+      check Alcotest.bool "gauge TYPE line" true
+        (has ~sub:"# TYPE dejavu_cache_occupancy gauge\n" text);
+      check Alcotest.bool "gauge has no _total" false (has ~sub:"_total" text);
+      (match Telemetry.Export.parse_prometheus text with
+      | Ok [ m ] ->
+          check Alcotest.string "gauge name" "dejavu_cache_occupancy"
+            m.Telemetry.Export.metric;
+          check (Alcotest.float 0.0) "gauge value" 17.0 m.Telemetry.Export.value
+      | Ok _ -> Alcotest.fail "expected one gauge sample"
+      | Error e -> Alcotest.fail ("gauge failed to parse: " ^ e));
+      check Alcotest.bool "json_lines types the gauge" true
+        (has ~sub:"\"type\": \"gauge\""
+           (Telemetry.Export.json_lines (Telemetry.Registry.snapshot reg)))
 
 let test_prometheus_parse_errors () =
   (match Telemetry.Export.parse_prometheus "dejavu_x 1\n???bad 2\n" with
@@ -175,8 +192,11 @@ let test_window_rates () =
   let reg = Telemetry.Registry.create () in
   let pkts = Telemetry.Registry.counter reg "pkts" in
   let h = Telemetry.Registry.histogram reg "lat" in
+  let occupancy = Telemetry.Registry.gauge reg "occupancy" in
+  occupancy := 900;
   Telemetry.Export.Window.push w ~now_ns:0L (Telemetry.Registry.snapshot reg);
   pkts := 500;
+  occupancy := 300;
   List.iter (Telemetry.Histogram.observe h) [ 1; 2; 3; 4; 5 ];
   (* A counter born after the first snapshot rates from zero. *)
   Telemetry.Registry.counter reg "late" := 100;
@@ -197,6 +217,9 @@ let test_window_rates () =
     (rate "lat.count");
   check (Alcotest.float 1e-9) "absent-from-oldest counts from zero" 50.0
     (rate "late");
+  (* A level is not a tally: the falling gauge gets no (negative) rate. *)
+  check Alcotest.bool "gauge gets no rate" false
+    (List.mem_assoc "occupancy" rates);
   (* Capacity 2: a third push evicts the oldest, so the window is now
      the last two snapshots. *)
   pkts := 600;
@@ -216,7 +239,7 @@ let test_window_rates () =
   check Alcotest.int "zero-span rates" 0
     (List.length (Telemetry.Export.Window.rates w0))
 
-(* --- INT postcard sink ------------------------------------------------ *)
+(* --- INT flow summaries ------------------------------------------------ *)
 
 let hop ?(recirc = 0) ?(resubmit = 0) lat =
   {
@@ -230,29 +253,53 @@ let hop ?(recirc = 0) ?(resubmit = 0) lat =
     meta = Telemetry.Journey.no_meta;
   }
 
-let postcard ?(verdict = "emitted:1") flow hops =
-  { Telemetry.Int_report.flow; in_port = 0; verdict; wall_ns = 10; hops }
+(* A journey whose totals agree with its hops: latency is their sum,
+   recircs the deepest hop's depth. *)
+let journey ?(verdict = "emitted:1") flow hops =
+  {
+    Telemetry.Journey.id = 0;
+    in_port = 0;
+    flow;
+    verdict;
+    cpu_round_trips = 0;
+    recircs =
+      List.fold_left
+        (fun acc (h : Telemetry.Journey.hop) ->
+          max acc h.Telemetry.Journey.recirc_depth)
+        0 hops;
+    resubmits = 0;
+    latency_ns =
+      List.fold_left
+        (fun acc (h : Telemetry.Journey.hop) ->
+          acc +. h.Telemetry.Journey.latency_ns)
+        0.0 hops;
+    wall_ns = 10;
+    hops;
+  }
+
+let summed f t =
+  List.fold_left (fun acc s -> acc + f s) 0 (Telemetry.Int_report.summaries t)
+
+let packets (s : Telemetry.Int_report.summary) = s.Telemetry.Int_report.packets
+
+(* A flow-cache-hit shaped record: no chip results. Garbage frames have
+   no 5-tuple, so the flow key is the arrival port. *)
+let record_port o in_port =
+  Observe.record o ~in_port ~wall_ns:10 (Bytes.make 4 '\000') []
+    (Ok (Asic.Chip.Dropped, 0.0))
 
 let test_int_sink_bounds () =
-  let t = Telemetry.Int_report.create ~max_flows:2 ~ring_capacity:2 () in
-  Telemetry.Int_report.push t (postcard "A" [ hop 100.0; hop 50.0 ]);
-  Telemetry.Int_report.push t (postcard "A" [ hop 100.0; hop 50.0 ]);
-  Telemetry.Int_report.push t (postcard "B" [ hop 30.0 ]);
-  Telemetry.Int_report.push t (postcard "C" [ hop 7.0 ]);
-  check Alcotest.int "every push counted" 4 (Telemetry.Int_report.pushed t);
-  check Alcotest.int "flow table capped" 2 (Telemetry.Int_report.flows t);
+  let t = Telemetry.Int_report.create ~max_flows:2 () in
+  Telemetry.Int_report.push t (journey "A" [ hop 100.0; hop 50.0 ]);
+  Telemetry.Int_report.push t (journey "A" [ hop 100.0; hop 50.0 ]);
+  Telemetry.Int_report.push t (journey "B" [ hop 30.0 ]);
+  Telemetry.Int_report.push t (journey "C" [ hop 7.0 ]);
+  check Alcotest.int "every push counted" 4
+    (summed packets t + Telemetry.Int_report.dropped_flows t);
+  check Alcotest.int "flow table capped" 2
+    (List.length (Telemetry.Int_report.summaries t));
   check Alcotest.int "overflow flow counted, not silent" 1
     (Telemetry.Int_report.dropped_flows t);
-  (* The ring still kept C's postcard even though its flow was dropped
-     from aggregation. *)
-  let recent = Telemetry.Int_report.recent t in
-  check Alcotest.int "ring keeps the last 2" 2 (List.length recent);
-  check
-    (Alcotest.list Alcotest.string)
-    "oldest first" [ "B"; "C" ]
-    (List.map
-       (fun (p : Telemetry.Int_report.postcard) -> p.Telemetry.Int_report.flow)
-       recent);
   (match Telemetry.Int_report.summaries t with
   | (a : Telemetry.Int_report.summary) :: _ ->
       check Alcotest.string "most packets first" "A"
@@ -275,19 +322,30 @@ let test_int_sink_bounds () =
   in
   check Alcotest.bool "summary json has the flow" true (has ~sub:"\"A\"" js);
   Telemetry.Int_report.clear t;
-  check Alcotest.int "clear empties flows" 0 (Telemetry.Int_report.flows t);
-  check Alcotest.int "clear empties the ring" 0
-    (List.length (Telemetry.Int_report.recent t))
+  check Alcotest.int "clear empties flows" 0
+    (List.length (Telemetry.Int_report.summaries t));
+  (* The flight recorder is bounded separately from the flow table: it
+     keeps the newest journeys whatever their flow. *)
+  let o = Observe.create ~ring_capacity:2 Telemetry.Level.Journeys in
+  List.iter (record_port o) [ 1; 1; 2; 3 ];
+  let recent = Observe.journeys o in
+  check Alcotest.int "ring keeps the last 2" 2 (List.length recent);
+  check
+    (Alcotest.list Alcotest.string)
+    "oldest first" [ "port:2"; "port:3" ]
+    (List.map (fun (j : Telemetry.Journey.t) -> j.Telemetry.Journey.flow) recent);
+  check Alcotest.int "every record counted" 4 (Observe.recorded o)
 
 let test_int_sink_merge () =
-  let a = Telemetry.Int_report.create ~max_flows:16 ~ring_capacity:8 () in
-  let b = Telemetry.Int_report.create ~max_flows:16 ~ring_capacity:8 () in
-  Telemetry.Int_report.push a (postcard "X" [ hop 10.0 ]);
-  Telemetry.Int_report.push a (postcard "Y" [ hop ~recirc:1 20.0 ]);
-  Telemetry.Int_report.push b (postcard "X" [ hop 30.0 ]);
-  Telemetry.Int_report.push b (postcard "Z" [ hop 40.0 ]);
+  let a = Telemetry.Int_report.create ~max_flows:16 () in
+  let b = Telemetry.Int_report.create ~max_flows:16 () in
+  Telemetry.Int_report.push a (journey "X" [ hop 10.0 ]);
+  Telemetry.Int_report.push a (journey "Y" [ hop ~recirc:1 20.0 ]);
+  Telemetry.Int_report.push b (journey "X" [ hop 30.0 ]);
+  Telemetry.Int_report.push b (journey "Z" [ hop 40.0 ]);
   Telemetry.Int_report.merge ~into:a b;
-  check Alcotest.int "union of flows" 3 (Telemetry.Int_report.flows a);
+  check Alcotest.int "union of flows" 3
+    (List.length (Telemetry.Int_report.summaries a));
   let x =
     List.find
       (fun (s : Telemetry.Int_report.summary) ->
@@ -298,10 +356,29 @@ let test_int_sink_merge () =
     x.Telemetry.Int_report.packets;
   check (Alcotest.float 1e-9) "latency summed" 40.0
     x.Telemetry.Int_report.latency_ns;
-  check Alcotest.int "src ring re-pushed" 4
-    (List.length (Telemetry.Int_report.recent a));
   (* merge does not disturb the source. *)
-  check Alcotest.int "src untouched" 2 (Telemetry.Int_report.flows b)
+  check Alcotest.int "src untouched" 2
+    (List.length (Telemetry.Int_report.summaries b));
+  (* Observers merge their rings too: the primary keeps the newest of
+     the shard-order sequence, renumbered to their place in it, and the
+     recorded count sums past what either ring retained. *)
+  let oa = Observe.create ~ring_capacity:4 Telemetry.Level.Journeys in
+  let ob = Observe.create ~ring_capacity:4 Telemetry.Level.Journeys in
+  List.iter (record_port oa) [ 1; 1; 1 ];
+  List.iter (record_port ob) [ 2; 2; 2; 2; 2; 3 ];
+  Observe.merge ~into:oa ob;
+  check Alcotest.int "recorded sums" 9 (Observe.recorded oa);
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
+    "merged ring: newest, shard order, fresh ids"
+    [ (5, "port:2"); (6, "port:2"); (7, "port:2"); (8, "port:3") ]
+    (List.map
+       (fun (j : Telemetry.Journey.t) ->
+         (j.Telemetry.Journey.id, j.Telemetry.Journey.flow))
+       (Observe.journeys oa));
+  check Alcotest.int "summaries cover every record" 9
+    (summed packets (Observe.flow_summaries oa));
+  check Alcotest.int "src observer untouched" 6 (Observe.recorded ob)
 
 (* --- the data-plane workload (as in test_telemetry) ------------------- *)
 
@@ -334,9 +411,10 @@ let frame_of_kind kind i =
       flow ~src:"203.0.113.9" ~dst:Nflib.Catalog.tenant1_vip
         ~src_port:(50000 + (i mod 61)) ~dst_port:80
 
-let runtime_with mode =
+let runtime_with ?strategy ?(domains = 1) ?(ring_capacity = 128) mode =
   let compiled =
-    Result.get_ok (Compiler.compile (Nflib.Catalog.edge_cloud_input ()))
+    Result.get_ok
+      (Compiler.compile (Nflib.Catalog.edge_cloud_input ?strategy ()))
   in
   let rt =
     Runtime.create
@@ -345,7 +423,8 @@ let runtime_with mode =
           Runtime.Engine.default with
           Runtime.Engine.exec_mode = mode;
           telemetry = Telemetry.Level.Journeys;
-          ring_capacity = 128;
+          ring_capacity;
+          domains;
         }
       compiled
   in
@@ -359,22 +438,15 @@ let test_int_sink_via_runtime () =
   let n = 9 in
   let workload = List.init n (fun i -> (0, frame_of_kind (i mod 3) i)) in
   ignore (Runtime.process_batch rt workload);
-  let sink = Observe.int_sink (Option.get (Runtime.telemetry rt)) in
-  check Alcotest.int "one postcard per packet" n
-    (Telemetry.Int_report.pushed sink);
+  let o = Option.get (Runtime.telemetry rt) in
+  let sink = Observe.flow_summaries o in
+  check Alcotest.int "one journey per packet" n (Observe.recorded o);
   check Alcotest.bool "flows aggregated" true
-    (Telemetry.Int_report.flows sink >= 3);
+    (List.length (Telemetry.Int_report.summaries sink) >= 3);
   check Alcotest.int "nothing dropped" 0
     (Telemetry.Int_report.dropped_flows sink);
-  let total_packets =
-    List.fold_left
-      (fun acc (s : Telemetry.Int_report.summary) ->
-        acc + s.Telemetry.Int_report.packets)
-      0
-      (Telemetry.Int_report.summaries sink)
-  in
-  check Alcotest.int "summaries cover every packet" n total_packets;
-  (* The snapshot front door exposes the sink sizes as gauges and the
+  check Alcotest.int "summaries cover every packet" n (summed packets sink);
+  (* The snapshot front door exposes the INT sizes and the
      whole registry round-trips through the Prometheus parser — the CI
      smoke step in miniature. *)
   let snap = Option.get (Runtime.snapshot rt) in
@@ -386,6 +458,51 @@ let test_int_sink_via_runtime () =
   with
   | Ok metrics -> check Alcotest.bool "exposition non-empty" true (metrics <> [])
   | Error e -> Alcotest.fail ("runtime snapshot failed to round-trip: " ^ e)
+
+let counter snap name =
+  match List.assoc_opt name snap with
+  | Some (Telemetry.Registry.Vcount c) -> c
+  | _ -> Alcotest.fail (name ^ " counter missing")
+
+(* Sharded, with rings far smaller than the traffic: every packet is
+   still counted once, because the recorded count sums across shards
+   instead of being rebuilt from the bounded rings. *)
+let test_int_recorded_sharded () =
+  let rt = runtime_with ~domains:2 ~ring_capacity:16 Asic.Chip.Fast in
+  let n = 200 in
+  ignore
+    (Runtime.process_batch rt
+       (List.init n (fun i -> (0, frame_of_kind (i mod 3) i))));
+  let o = Option.get (Runtime.telemetry rt) in
+  check Alcotest.int "recorded = packets" n (Observe.recorded o);
+  check Alcotest.int "summaries cover every packet" n
+    (summed packets (Observe.flow_summaries o));
+  check Alcotest.int "ring bounded" 16 (List.length (Observe.journeys o));
+  check Alcotest.int "int.postcards = packets" n
+    (counter (Option.get (Runtime.snapshot rt)) "int.postcards")
+
+(* Naive placement recirculates, and some walks cross a CPU round trip
+   after recirculating: per-flow totals must still add up to the path
+   counters, which is only true when summaries take each journey's own
+   totals rather than its last hop's depth. *)
+let test_int_totals_naive () =
+  let rt = runtime_with ~strategy:Placement.Naive Asic.Chip.Fast in
+  let n = 300 in
+  let stats =
+    Runtime.process_batch rt
+      (List.init n (fun i -> (0, frame_of_kind (i mod 3) i)))
+  in
+  check Alcotest.int "no errors" 0 stats.Runtime.errors;
+  let snap = Option.get (Runtime.snapshot rt) in
+  let sink = Observe.flow_summaries (Option.get (Runtime.telemetry rt)) in
+  check Alcotest.bool "the walk recirculates" true
+    (counter snap "path.recircs" > 0);
+  check Alcotest.int "summary recircs = path.recircs"
+    (counter snap "path.recircs")
+    (summed (fun s -> s.Telemetry.Int_report.recircs) sink);
+  check Alcotest.int "summary resubmits = path.resubmits"
+    (counter snap "path.resubmits")
+    (summed (fun s -> s.Telemetry.Int_report.resubmits) sink)
 
 (* --- property: fast-mode hop records = reference segmentation --------- *)
 
@@ -410,7 +527,7 @@ let prop_int_hops_match_reference =
         let rt = runtime_with mode in
         ignore (Runtime.process_batch rt workload);
         let o = Option.get (Runtime.telemetry rt) in
-        (Observe.journeys o, Observe.int_sink o)
+        (Observe.journeys o, Observe.flow_summaries o)
       in
       let jf, sf = run Asic.Chip.Fast in
       let jr, sr = run Asic.Chip.Reference in
@@ -449,7 +566,12 @@ let prop_int_hops_match_reference =
              && a.Telemetry.Int_report.verdicts
                 = b.Telemetry.Int_report.verdicts)
            (Telemetry.Int_report.summaries sf)
-           (Telemetry.Int_report.summaries sr))
+           (Telemetry.Int_report.summaries sr)
+      (* Per-flow recirc totals are the journeys' own totals. *)
+      && summed (fun s -> s.Telemetry.Int_report.recircs) sf
+         = List.fold_left
+             (fun acc (j : Telemetry.Journey.t) -> acc + j.Telemetry.Journey.recircs)
+             0 jf)
 
 let () =
   Alcotest.run "export"
@@ -469,6 +591,9 @@ let () =
           Alcotest.test_case "bounds" `Quick test_int_sink_bounds;
           Alcotest.test_case "merge" `Quick test_int_sink_merge;
           Alcotest.test_case "via runtime" `Quick test_int_sink_via_runtime;
+          Alcotest.test_case "sharded recorded count" `Quick
+            test_int_recorded_sharded;
+          Alcotest.test_case "naive recirc totals" `Quick test_int_totals_naive;
         ] );
       ("int_property", [ qtest prop_int_hops_match_reference ]);
     ]

@@ -486,12 +486,17 @@ let test_state_gauges_in_snapshot () =
       let count name =
         match List.assoc_opt name snap with
         | Some (Telemetry.Registry.Vcount n) -> n
+        | _ -> Alcotest.fail ("missing counter " ^ name)
+      in
+      let level name =
+        match List.assoc_opt name snap with
+        | Some (Telemetry.Registry.Vgauge n) -> n
         | _ -> Alcotest.fail ("missing gauge " ^ name)
       in
-      check Alcotest.int "state.stores" 1 (count "state.stores");
-      check Alcotest.int "state.capacity" 1024 (count "state.capacity");
+      check Alcotest.int "state.stores" 1 (level "state.stores");
+      check Alcotest.int "state.capacity" 1024 (level "state.capacity");
       check Alcotest.int "lb.sessions occupancy" 5
-        (count "state.lb.sessions.occupancy");
+        (level "state.lb.sessions.occupancy");
       check Alcotest.int "lb.sessions inserts" 5
         (count "state.lb.sessions.inserts")
 

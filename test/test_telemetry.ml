@@ -102,6 +102,8 @@ let test_registry_snapshot_delta () =
   incr a;
   let h = Telemetry.Registry.histogram reg "h" in
   Telemetry.Histogram.observe h 5;
+  let g = Telemetry.Registry.gauge reg "g" in
+  g := 10;
   let s1 = Telemetry.Registry.snapshot reg in
   (match List.assoc "a" s1 with
   | Telemetry.Registry.Vcount n -> check Alcotest.int "counter value" 2 n
@@ -109,8 +111,19 @@ let test_registry_snapshot_delta () =
   incr a;
   Telemetry.Histogram.observe h 6;
   Telemetry.Histogram.observe h 100;
+  g := 4;
   let s2 = Telemetry.Registry.snapshot reg in
   let d = Telemetry.Registry.delta ~since:s1 s2 in
+  check Alcotest.bool "delta keeps a gauge's newest value" true
+    (List.assoc "g" d = Telemetry.Registry.Vgauge 4);
+  (* Merging sums counters but never touches a gauge. *)
+  let into = Telemetry.Registry.create () in
+  Telemetry.Registry.gauge into "g" := 7;
+  Telemetry.Registry.merge ~into reg;
+  check Alcotest.int "merge sums counters" 3
+    !(Telemetry.Registry.counter into "a");
+  check Alcotest.int "merge leaves gauges alone" 7
+    !(Telemetry.Registry.gauge into "g");
   (match List.assoc "a" d with
   | Telemetry.Registry.Vcount n -> check Alcotest.int "delta counter" 1 n
   | _ -> Alcotest.fail "a is not a counter in delta");
@@ -288,9 +301,8 @@ let test_journey_capture () =
   let o = Option.get (Runtime.telemetry rt) in
   check Alcotest.int "ring keeps the last 8" 8
     (List.length (Observe.journeys o));
-  check Alcotest.int "every packet was recorded" n
-    (Telemetry.Ring.pushed (Observe.ring o));
-  let j = Option.get (Telemetry.Ring.last (Observe.ring o)) in
+  check Alcotest.int "every packet was recorded" n (Observe.recorded o);
+  let j = List.hd (List.rev (Observe.journeys o)) in
   check Alcotest.int "ids are sequential" (n - 1) j.Telemetry.Journey.id;
   check Alcotest.int "in_port recorded" 0 j.Telemetry.Journey.in_port;
   check Alcotest.bool "emitted verdict" true
