@@ -87,8 +87,8 @@ val abort : t -> unit
 val merge_stats : into:t -> t -> unit
 (** Fold [src]'s stats tallies into [into]'s. Entries are not moved —
     per-shard caches share nothing; used when replica caches are
-    discarded after a parallel batch so runtime-wide accounting
-    survives. *)
+    discarded after a parallel batch, and when a resized cache
+    replaces its predecessor, so runtime-wide accounting survives. *)
 
 (** {2 Introspection for tests and benches} *)
 

@@ -67,20 +67,9 @@ type obs_state = {
   o : Observe.t;
   rx : int ref array;  (* per Ethernet port *)
   tx : int ref array;
-  c_emitted : int ref;
-  c_dropped : int ref;
-  c_to_cpu : int ref;
-  c_errors : int ref;
   c_punts : int ref;  (* every to-CPU verdict, incl. resolved round trips *)
-  c_round_trips : int ref;
-  c_recircs : int ref;
-  c_resubmits : int ref;
-  c_drop_dp : int ref;
-  c_cache_hit : int ref;
-  c_cache_miss : int ref;
   c_ctrl_applied : int ref;
   c_ctrl_failed : int ref;
-  c_suppressed : int ref;  (* per-packet errors beyond the batch log cap *)
   c_gc_minor : int ref;  (* cumulative minor words allocated in batches *)
   c_gc_major : int ref;
   h_ns : Telemetry.Histogram.t;
@@ -211,64 +200,41 @@ let sync t =
   in
   (applied, List.rev errs_rev)
 
-(* An observer attached to [chip], its hot-path counters resolved. *)
-let observer chip level ring_capacity =
-  let o = Observe.create ~ring_capacity level in
-  Observe.attach o chip;
-  let reg = Observe.registry o in
-  let c = Telemetry.Registry.counter reg in
-  let n_ports = Asic.Spec.n_eth_ports (Asic.Chip.spec chip) in
-  (* Bound one by one so registration (= display) order is sensible:
-     record fields would evaluate right-to-left. *)
-  let c_emitted = c "verdict.emitted" in
-  let c_dropped = c "verdict.dropped" in
-  let c_to_cpu = c "verdict.to_cpu" in
-  let c_errors = c "verdict.error" in
-  let c_punts = c "path.cpu_punts" in
-  let c_round_trips = c "path.cpu_round_trips" in
-  let c_recircs = c "path.recircs" in
-  let c_resubmits = c "path.resubmits" in
-  let c_drop_dp = c "drop.data_plane" in
-  let c_cache_hit = c "cache.hit" in
-  let c_cache_miss = c "cache.miss" in
-  let c_ctrl_applied = c "ctrl.ops_applied" in
-  let c_ctrl_failed = c "ctrl.batches_failed" in
-  let c_suppressed = c "batch.errors_suppressed" in
-  let c_gc_minor = c "gc.minor_words" in
-  let c_gc_major = c "gc.major_words" in
-  let h_ns = Telemetry.Registry.histogram reg "runtime.ns_per_packet" in
-  let h_queue_depth = Telemetry.Registry.histogram reg "ctrl.queue_depth" in
-  let h_drain_ns = Telemetry.Registry.histogram reg "ctrl.drain_ns" in
-  let h_alloc_w =
-    Telemetry.Registry.histogram reg "runtime.alloc_words_per_packet"
-  in
-  let rx = Array.init n_ports (fun p -> c (Printf.sprintf "port.%d.rx" p)) in
-  let tx = Array.init n_ports (fun p -> c (Printf.sprintf "port.%d.tx" p)) in
-  {
-    o;
-    rx;
-    tx;
-    c_emitted;
-    c_dropped;
-    c_to_cpu;
-    c_errors;
-    c_punts;
-    c_round_trips;
-    c_recircs;
-    c_resubmits;
-    c_drop_dp;
-    c_cache_hit;
-    c_cache_miss;
-    c_ctrl_applied;
-    c_ctrl_failed;
-    c_suppressed;
-    c_gc_minor;
-    c_gc_major;
-    h_ns;
-    h_queue_depth;
-    h_drain_ns;
-    h_alloc_w;
-  }
+(* The engine's observer attached to [chip], its hot-path counters
+   resolved; none at [Off]. *)
+let observer chip (e : Engine.t) =
+  match e.Engine.telemetry with
+  | Telemetry.Level.Off -> None
+  | level ->
+      let o = Observe.create ~ring_capacity:e.Engine.ring_capacity level in
+      Observe.attach o chip;
+      let reg = Observe.registry o in
+      let c = Telemetry.Registry.counter reg in
+      let hist = Telemetry.Registry.histogram reg in
+      let n_ports = Asic.Spec.n_eth_ports (Asic.Chip.spec chip) in
+      (* Bound one by one so registration (= display) order is
+         sensible: record fields would evaluate right-to-left. The
+         names [publish] and [sync_gauges] write are registered here
+         too, in their slots. *)
+      let register = List.iter (fun name -> ignore (c name)) in
+      register [ "verdict.emitted"; "verdict.dropped"; "verdict.to_cpu"; "verdict.error" ];
+      let c_punts = c "path.cpu_punts" in
+      register
+        [ "path.cpu_round_trips"; "path.recircs"; "path.resubmits"; "cache.hit"; "cache.miss" ];
+      let c_ctrl_applied = c "ctrl.ops_applied" in
+      let c_ctrl_failed = c "ctrl.batches_failed" in
+      register [ "batch.errors_suppressed" ];
+      let c_gc_minor = c "gc.minor_words" in
+      let c_gc_major = c "gc.major_words" in
+      let h_ns = hist "runtime.ns_per_packet" in
+      let h_queue_depth = hist "ctrl.queue_depth" in
+      let h_drain_ns = hist "ctrl.drain_ns" in
+      let h_alloc_w = hist "runtime.alloc_words_per_packet" in
+      let rx = Array.init n_ports (fun p -> c (Printf.sprintf "port.%d.rx" p)) in
+      let tx = Array.init n_ports (fun p -> c (Printf.sprintf "port.%d.tx" p)) in
+      Some
+        { o; rx; tx; c_punts; c_ctrl_applied; c_ctrl_failed; c_gc_minor;
+          c_gc_major; h_ns; h_queue_depth; h_drain_ns; h_alloc_w }
 
 (* The store serving shard [d]. *)
 let store_of t d = if Array.length t.stores = 0 then None else Some t.stores.(d)
@@ -322,18 +288,16 @@ let configure t (e : Engine.t) =
       && e.Engine.ring_capacity = prev.Engine.ring_capacity
       && (Option.is_some obs || e.Engine.telemetry = Telemetry.Level.Off)
     then obs
-    else
-      match e.Engine.telemetry with
-      | Telemetry.Level.Off ->
-          Observe.detach chip;
-          None
-      | (Telemetry.Level.Counters | Telemetry.Level.Journeys) as level ->
-          Some (observer chip level e.Engine.ring_capacity)
+    else begin
+      if e.Engine.telemetry = Telemetry.Level.Off then Observe.detach chip;
+      observer chip e
+    end
   in
   (* Cache transitions: keep an unchanged cache (and its entries and
      stats) alive; anything else detaches the old recorders before
      building the replacement, so a chip never carries two sets of
-     hooks. *)
+     hooks. A resized cache starts empty but inherits the old tallies,
+     so its counters never run backwards. *)
   let cache =
     match (prev.Engine.cache, e.Engine.cache) with
     | Engine.Off, Engine.Off -> cache
@@ -345,7 +309,9 @@ let configure t (e : Engine.t) =
         None
     | _, Engine.Emc { capacity } ->
         Option.iter Flow_cache.detach cache;
-        Some (Flow_cache.create ~capacity chip)
+        let fresh = Flow_cache.create ~capacity chip in
+        Option.iter (Flow_cache.merge_stats ~into:fresh) cache;
+        Some fresh
   in
   t.main <- { t.main with obs; cache }
 
@@ -517,7 +483,6 @@ let run_packet t sh ~in_port frame =
                whole pipeline run. Cacheable outcomes have zero path
                counters and no mirrors by construction, so this outcome
                equals what the re-run would have produced. *)
-            (match sh.obs with Some os -> incr os.c_cache_hit | None -> ());
             Ok
               {
                 verdict = h.Flow_cache.verdict;
@@ -529,7 +494,6 @@ let run_packet t sh ~in_port frame =
                 mirrored = [];
               }
         | None ->
-            (match sh.obs with Some os -> incr os.c_cache_miss | None -> ());
             let res = loop frame 0 0 0 0.0 [] true in
             (match res with
             | Ok o ->
@@ -547,25 +511,16 @@ let run_packet t sh ~in_port frame =
   | Some os -> (
       let wall = Int64.to_int (Int64.sub (Telemetry.Tclock.now_ns ()) t0) in
       Telemetry.Histogram.observe os.h_ns wall;
+      (* Only what no other tally counts: verdicts and path shape reach
+         the registry through [publish], cache hits from the cache. *)
       (match res with
       | Error e ->
-          incr os.c_errors;
           incr
             (Telemetry.Registry.counter (Observe.registry os.o)
                ("error." ^ Observe.error_class e))
-      | Ok o -> (
-          os.c_round_trips :=
-            !(os.c_round_trips) + o.counters.Counters.cpu_round_trips;
-          os.c_recircs := !(os.c_recircs) + o.counters.Counters.recircs;
-          os.c_resubmits := !(os.c_resubmits) + o.counters.Counters.resubmits;
-          match o.verdict with
-          | Asic.Chip.Emitted { port; _ } ->
-              incr os.c_emitted;
-              if port >= 0 && port < Array.length os.tx then incr os.tx.(port)
-          | Asic.Chip.Dropped ->
-              incr os.c_dropped;
-              incr os.c_drop_dp
-          | Asic.Chip.To_cpu _ -> incr os.c_to_cpu));
+      | Ok { verdict = Asic.Chip.Emitted { port; _ }; _ } ->
+          if port >= 0 && port < Array.length os.tx then incr os.tx.(port)
+      | Ok _ -> ());
       match jr with
       | None -> ()
       | Some l ->
@@ -574,8 +529,6 @@ let run_packet t sh ~in_port frame =
                (fun o -> (o.verdict, o.counters.Counters.latency_ns))
                res)));
   res
-
-let process t ~in_port frame = run_packet t t.main ~in_port frame
 
 type batch_stats = {
   packets : int;
@@ -671,6 +624,32 @@ let tally s in_port (res : (outcome, string) result) =
             digest = fold_digest s.digest 3 0 (Some frame);
           })
 
+(* The one writer of the verdict and path counters: a finished call's
+   stats added into the registry — once per [process_batch] from the
+   merged stats, once per [process] from its one-packet tally. Shard
+   replicas never count these facts, so the registry is the sum of the
+   stats it was shown by construction. *)
+let publish os s =
+  let add name n =
+    let c = Telemetry.Registry.counter (Observe.registry os.o) name in
+    c := !c + n
+  in
+  add "verdict.emitted" s.emitted;
+  add "verdict.dropped" s.dropped;
+  add "verdict.to_cpu" s.to_cpu;
+  add "verdict.error" s.errors;
+  add "path.cpu_round_trips" s.counters.Counters.cpu_round_trips;
+  add "path.recircs" s.counters.Counters.recircs;
+  add "path.resubmits" s.counters.Counters.resubmits;
+  add "batch.errors_suppressed" s.suppressed
+
+let process t ~in_port frame =
+  let res = run_packet t t.main ~in_port frame in
+  (match t.main.obs with
+  | Some os -> publish os (tally empty_stats in_port res)
+  | None -> ());
+  res
+
 (* Run one shard's packets in order. [feed] calls its argument on every
    [(index, in_port, frame)], the index being the packet's position in
    the caller's batch — what [each] sees. The error log comes back
@@ -714,12 +693,7 @@ let replica t d =
   | Error e -> failwith ("Runtime.process_batch: " ^ e)
   | Ok chip ->
       let handlers = bind t chip d in
-      let obs =
-        match t.engine.Engine.telemetry with
-        | Telemetry.Level.Off -> None
-        | (Telemetry.Level.Counters | Telemetry.Level.Journeys) as level ->
-            Some (observer chip level t.engine.Engine.ring_capacity)
-      in
+      let obs = observer chip t.engine in
       let cache =
         match t.engine.Engine.cache with
         | Engine.Off -> None
@@ -809,7 +783,7 @@ let process_batch ?each t pkts =
     | domains -> run_sharded t ~domains each pkts
   in
   (* Suppressed = every error the surviving log does not show. *)
-  let suppressed = s.errors - List.length s.error_log in
+  let s = { s with suppressed = s.errors - List.length s.error_log } in
   (match t.main.obs with
   | None -> ()
   | Some os ->
@@ -822,8 +796,8 @@ let process_batch ?each t pkts =
         Telemetry.Histogram.observe os.h_alloc_w
           (max 0
              (int_of_float ((minor_d +. major_d) /. float_of_int s.packets)));
-      os.c_suppressed := !(os.c_suppressed) + suppressed);
-  { s with suppressed }
+      publish os s);
+  s
 
 let process_batch_parallel ?domains ?each t pkts =
   (match domains with
@@ -835,11 +809,11 @@ let process_batch_parallel ?domains ?each t pkts =
 (* --- Snapshot front door --- *)
 
 (* Absolute values — the gauges (cache and store occupancy and
-   capacity, queue depth) and the tallies other components keep — are
-   written into the registry only here, at snapshot time: never on the
-   hot path and never on a shard replica, so [Registry.merge] (which
-   sums counters) cannot double-count them when sharded batches fold
-   replica registries back. *)
+   capacity, queue depth) and the tallies other components keep (cache
+   and store counts) — are read into the registry only here, at
+   snapshot time: never on the hot path and never on a shard replica,
+   so [Registry.merge] (which sums counters) cannot double-count them
+   when sharded batches fold replica registries back. *)
 let sync_gauges t =
   match t.main.obs with
   | None -> ()
@@ -853,46 +827,27 @@ let sync_gauges t =
           let s = Flow_cache.stats c in
           level "cache.occupancy" (Flow_cache.length c);
           level "cache.capacity" (Flow_cache.capacity c);
+          set "cache.hit" s.Flow_cache.hits;
+          set "cache.miss" s.Flow_cache.misses;
           set "cache.inserts" s.Flow_cache.inserts;
           set "cache.evictions" s.Flow_cache.evictions;
           set "cache.stale" s.Flow_cache.stale;
           set "cache.invalidations" s.Flow_cache.invalidations;
           set "cache.uncacheable" s.Flow_cache.uncacheable);
-      (* State-store gauges: per-table tallies summed across the shard
-         stores in shard order — the deterministic fold-back; written
-         only here (primary, snapshot time), like every other gauge. *)
       if Array.length t.stores > 0 then begin
         level "state.stores" (Array.length t.stores);
         level "state.capacity"
           (State_store.config t.stores.(0)).State_store.capacity;
-        let acc = Hashtbl.create 8 in
-        Array.iter
-          (fun store ->
-            List.iter
-              (fun (name, occupancy, (s : State_store.table_stats)) ->
-                let o, h, m, i, e, x =
-                  Option.value ~default:(0, 0, 0, 0, 0, 0)
-                    (Hashtbl.find_opt acc name)
-                in
-                Hashtbl.replace acc name
-                  ( o + occupancy,
-                    h + s.State_store.hits,
-                    m + s.State_store.misses,
-                    i + s.State_store.inserts,
-                    e + s.State_store.evictions,
-                    x + s.State_store.expirations ))
-              (State_store.per_table store))
-          t.stores;
-        Hashtbl.iter
-          (fun name (o, h, m, i, e, x) ->
+        List.iter
+          (fun (name, occupancy, (s : State_store.table_stats)) ->
             let key metric = Printf.sprintf "state.%s.%s" name metric in
-            level (key "occupancy") o;
-            set (key "hits") h;
-            set (key "misses") m;
-            set (key "inserts") i;
-            set (key "evictions") e;
-            set (key "expirations") x)
-          acc
+            level (key "occupancy") occupancy;
+            set (key "hits") s.State_store.hits;
+            set (key "misses") s.State_store.misses;
+            set (key "inserts") s.State_store.inserts;
+            set (key "evictions") s.State_store.evictions;
+            set (key "expirations") s.State_store.expirations)
+          (State_store.totals t.stores)
       end;
       level "ctrl.pending" (Ctrl.pending t.ctrl)
 

@@ -81,11 +81,11 @@ val configure : t -> Engine.t -> unit
     telemetry level or ring capacity actually changed, so flipping
     [exec_mode] or [domains] never wipes accumulated counters. The
     flow cache likewise survives unchanged [cache] knobs; any change
-    detaches the old cache's recorders and starts empty. The state
-    stores survive an unchanged [state] knob at an unchanged shard
-    count; a [domains] change under a live [Bounded] knob re-homes
-    every entry to its new owner shard ({!State_store.migrate} by the
-    canonical 5-tuple shard hint); a knob change starts fresh. *)
+    detaches the old cache's recorders and starts empty (keeping its
+    stats on a resize). The state stores survive an unchanged [state]
+    knob at an unchanged shard count; a [domains] change under a live
+    [Bounded] knob re-homes every entry and table tally to its new
+    owner shard ({!State_store.migrate}); a knob change starts fresh. *)
 
 val engine : t -> Engine.t
 
@@ -179,13 +179,14 @@ val sync : t -> int * (int * string) list
 (** {2 Telemetry}
 
     Set through the engine's [telemetry] and [ring_capacity] fields
-    ({!configure}). Enabling instruments this runtime and its chip:
-    per-port rx/tx, verdict and packet-path counters, error-class
-    counters, an ns-per-packet histogram ([runtime.ns_per_packet],
-    measured with two monotonic-clock reads around {!process}), and —
-    at [Journeys] — one journey per packet, handed to {!Observe.record},
-    which keeps it in the flight recorder and folds it into the per-flow
-    INT summaries. [Off] detaches everything and restores the
+    ({!configure}). Per packet it counts only what no other tally
+    keeps: per-port rx/tx, CPU punts, error classes, an ns-per-packet
+    histogram ([runtime.ns_per_packet]) and — at [Journeys] — one
+    journey, handed to {!Observe.record} (flight recorder and per-flow
+    INT summaries). The [verdict.*], [path.*] shape and
+    [batch.errors_suppressed] counters are the sum of the
+    {!batch_stats} each {!process_batch} (and the outcome each
+    {!process}) returned. [Off] detaches everything and restores the
     uninstrumented fast path. *)
 
 val telemetry : t -> Observe.t option
@@ -196,12 +197,13 @@ val snapshot : t -> Telemetry.Registry.snapshot option
 (** The observability front door: sync the chip's live table tallies,
     the gauges — cache occupancy/capacity, state-store occupancy and
     capacity, pending ctrl batches ([ctrl.pending]), INT flow count —
-    and the tallies other components keep (cache validation counts,
-    [state.*] store tallies, [int.postcards]) into the registry, then
-    snapshot it. [None] when telemetry is [Off]. These are written only
-    here (never on the hot path, never on shard replicas), so sharded
-    registry merges cannot double-count them; feed the result to
-    {!Telemetry.Export.prometheus} / {!Telemetry.Export.json_lines}. *)
+    and the tallies other components keep ({!Flow_cache.stats} as
+    [cache.*], {!State_store.totals} as [state.*], [int.postcards])
+    into the registry, then snapshot it. [None] when telemetry is
+    [Off]. These are written only here (never on the hot path, never
+    on shard replicas), so sharded registry merges cannot double-count
+    them; feed the result to {!Telemetry.Export.prometheus} /
+    {!Telemetry.Export.json_lines}. *)
 
 (** {2 Batches} *)
 

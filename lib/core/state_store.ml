@@ -161,13 +161,23 @@ let touch tb e now =
 
 (* --- raw (encoded-form) operations --- *)
 
+let zero_stats () =
+  { hits = 0; misses = 0; inserts = 0; evictions = 0; expirations = 0 }
+
+let add_stats ~into s =
+  into.hits <- into.hits + s.hits;
+  into.misses <- into.misses + s.misses;
+  into.inserts <- into.inserts + s.inserts;
+  into.evictions <- into.evictions + s.evictions;
+  into.expirations <- into.expirations + s.expirations
+
 let fresh_tbl name =
   {
     tname = name;
     h = Hashtbl.create 64;
     head = None;
     tail = None;
-    tstats = { hits = 0; misses = 0; inserts = 0; evictions = 0; expirations = 0 };
+    tstats = zero_stats ();
     on_evict_raw = (fun _ _ _ -> ());
     shard_of_raw = default_shard;
   }
@@ -323,6 +333,19 @@ let per_table t =
   List.map
     (fun tb -> (tb.tname, Hashtbl.length tb.h, tb.tstats))
     (sorted_tbls t)
+
+let totals stores =
+  let acc = Hashtbl.create 8 in
+  Array.iter
+    (fun store ->
+      Hashtbl.iter
+        (fun name tb ->
+          let o, sum = Option.value (Hashtbl.find_opt acc name) ~default:(0, zero_stats ()) in
+          add_stats ~into:sum tb.tstats;
+          Hashtbl.replace acc name (o + Hashtbl.length tb.h, sum))
+        store.tbls)
+    stores;
+  List.sort compare (Hashtbl.fold (fun name (o, s) l -> (name, o, s) :: l) acc [])
 
 (* --- snapshot / restore --- *)
 
@@ -499,6 +522,19 @@ let digest stores =
         acc entries)
     0L names
 
+(* [target]'s table named like [src], created on first use with
+   [src]'s hooks, so an evicting target can still mirror into the data
+   plane before its owner re-binds. *)
+let adopt target src =
+  match Hashtbl.find_opt target.tbls src.tname with
+  | Some tb -> tb
+  | None ->
+      let tb = fresh_tbl src.tname in
+      tb.on_evict_raw <- src.on_evict_raw;
+      tb.shard_of_raw <- src.shard_of_raw;
+      Hashtbl.replace target.tbls src.tname tb;
+      tb
+
 let migrate ~from ~into =
   let n = Array.length into in
   if n = 0 then invalid_arg "State_store.migrate: empty target";
@@ -532,11 +568,10 @@ let migrate ~from ~into =
             | c -> c)
           entries
       in
-      (* Carry hooks over so an evicting target can still mirror into
-         the data plane before its owner re-binds. *)
       let hooks =
         Array.to_list from
         |> List.find_map (fun t -> Hashtbl.find_opt t.tbls name)
+        |> Option.get
       in
       List.iter
         (fun e ->
@@ -545,22 +580,18 @@ let migrate ~from ~into =
               (Int64.rem (Int64.logand e.shard Int64.max_int) (Int64.of_int n))
           in
           let target = into.(home) in
-          let tb =
-            match Hashtbl.find_opt target.tbls name with
-            | Some tb -> tb
-            | None ->
-                let tb = fresh_tbl name in
-                (match hooks with
-                | Some src ->
-                    tb.on_evict_raw <- src.on_evict_raw;
-                    tb.shard_of_raw <- src.shard_of_raw
-                | None -> ());
-                Hashtbl.replace target.tbls name tb;
-                tb
-          in
+          let tb = adopt target hooks in
           insert_raw target tb ~key:e.key ~value:e.value ~stamp:e.touched_ns
             ~shard:e.shard;
           (* migration moves entries; it is not fresh traffic *)
           tb.tstats.inserts <- tb.tstats.inserts - 1)
         entries)
-    names
+    names;
+  (* Tallies move with their tables: source i's counts add into target
+     [i mod n], so every table's cross-shard sums survive the move. *)
+  Array.iteri
+    (fun i src ->
+      Hashtbl.iter
+        (fun _ tb -> add_stats ~into:(adopt into.(i mod n) tb).tstats tb.tstats)
+        src.tbls)
+    from

@@ -115,9 +115,12 @@ type table_stats = {
 val stats : ('k, 'v) table -> table_stats
 
 val per_table : t -> (string * int * table_stats) list
-(** Every table's (name, occupancy, stats), sorted by name — what the
-    runtime sums across shard stores into the [state.*] telemetry
-    gauges. *)
+(** Every table's (name, occupancy, stats), sorted by name. *)
+
+val totals : t array -> (string * int * table_stats) list
+(** {!per_table} summed across shard stores by table name, sorted by
+    name — the one cross-shard fold behind the [state.*] telemetry
+    and every per-table report. The stats are fresh records. *)
 
 (** {2 Snapshot / restore (warm restart)} *)
 
@@ -155,5 +158,7 @@ val migrate : from:t array -> into:t array -> unit
     stamp-faithful and deterministic. Stamps, values and callbacks
     (where the target lacks a registration) carry over; targets'
     clocks advance to the sources' maximum. Entries beyond a target's
-    capacity evict as usual. What [Runtime.configure] runs when
+    capacity evict as usual. Each source's per-table {!table_stats}
+    add into [into.(i mod Array.length into)], so the cross-shard sums
+    ({!totals}) never run backwards. What [Runtime.configure] runs when
     [Engine.domains] changes under a live bounded store. *)

@@ -288,7 +288,22 @@ let test_migrate_rehomes_and_preserves_union () =
   List.iteri
     (fun i k -> State_store.insert (reg a.(k mod 2)) k (100 + i))
     (List.init 20 Fun.id);
+  List.iter (fun k -> ignore (State_store.find (reg a.(k mod 2)) k)) [ 0; 3; 7; 40; 41 ];
   let before = State_store.digest a in
+  (* The tallies travel with the tables: every cross-shard sum
+     survives each migration. *)
+  let tallies stores =
+    List.map
+      (fun (name, occ, (s : State_store.table_stats)) ->
+        ( name,
+          [ occ; s.State_store.hits; s.State_store.misses; s.State_store.inserts;
+            s.State_store.evictions; s.State_store.expirations ] ))
+      (State_store.totals stores)
+  in
+  let sums = tallies a in
+  check
+    Alcotest.(list (pair string (list int)))
+    "tallies before" [ ("t", [ 20; 3; 2; 20; 0; 0 ]) ] sums;
   (* 2 -> 4 -> 1, re-homing by the hint each time. *)
   let b = [| mk (); mk (); mk (); mk () |] in
   State_store.migrate ~from:a ~into:b;
@@ -304,10 +319,12 @@ let test_migrate_rehomes_and_preserves_union () =
     b;
   check Alcotest.bool "2 -> 4 digest preserved" true
     (State_store.digest b = before);
+  check Alcotest.(list (pair string (list int))) "2 -> 4 tallies preserved" sums (tallies b);
   let c = [| mk () |] in
   State_store.migrate ~from:b ~into:c;
   check Alcotest.bool "4 -> 1 digest preserved" true
     (State_store.digest c = before);
+  check Alcotest.(list (pair string (list int))) "4 -> 1 tallies preserved" sums (tallies c);
   check Alcotest.int "all entries in the single store" 20
     (State_store.length (reg c.(0)))
 
@@ -500,6 +517,69 @@ let test_state_gauges_in_snapshot () =
       check Alcotest.int "lb.sessions inserts" 5
         (count "state.lb.sessions.inserts")
 
+(* Counters never run backwards across [configure]: a re-shard
+   1 -> 2 -> 1 carries every store table's tallies into the new shard
+   stores, and a cache resize folds the old cache's tallies into its
+   replacement. Every counter in every snapshot — one after each
+   configure and one after the traffic that follows — is at least its
+   value in the snapshot before. *)
+let test_counters_monotone_across_configure () =
+  let rt =
+    lb_runtime
+      ~engine:
+        {
+          (engine ~cache:true ~capacity:4096 ()) with
+          Runtime.Engine.telemetry = Telemetry.Level.Counters;
+        }
+      ()
+  in
+  let counts () =
+    List.filter_map
+      (function
+        | name, Telemetry.Registry.Vcount n -> Some (name, n) | _ -> None)
+      (Option.get (Runtime.snapshot rt))
+  in
+  let prev = ref [] and sent = ref 0 in
+  let snapshot_after label =
+    let now = counts () in
+    List.iter
+      (fun (name, was) ->
+        match List.assoc_opt name now with
+        | Some is when is >= was -> ()
+        | Some is -> Alcotest.failf "%s: %s fell from %d to %d" label name was is
+        | None -> Alcotest.failf "%s: %s left the snapshot" label name)
+      !prev;
+    prev := now
+  in
+  let traffic label =
+    let base = !sent in
+    (* New flows plus a repeat of each: misses, inserts and hits. *)
+    let w =
+      List.concat
+        (List.init 20 (fun f ->
+             let p = red ~src_octet:(1 + (f mod 200)) ~src_port:(9000 + base + f) in
+             [ p; p; p ]))
+    in
+    sent := base + 20;
+    ignore (Runtime.process_batch rt w);
+    snapshot_after label
+  in
+  let reconfigure label f =
+    Runtime.configure rt (f (Runtime.engine rt));
+    snapshot_after label;
+    traffic (label ^ " + traffic")
+  in
+  traffic "60 packets";
+  reconfigure "domains 1 -> 2" (fun e -> { e with Runtime.Engine.domains = 2 });
+  reconfigure "domains 2 -> 1" (fun e -> { e with Runtime.Engine.domains = 1 });
+  reconfigure "cache 256 -> 64" (fun e ->
+      { e with Runtime.Engine.cache = Runtime.Engine.Emc { capacity = 64 } });
+  let final name = List.assoc name !prev in
+  check Alcotest.int "every distinct flow inserted once" !sent
+    (final "state.lb.sessions.inserts");
+  check Alcotest.int "cache saw every packet" (3 * !sent)
+    (final "cache.hit" + final "cache.miss")
+
 (* Bounded-off is byte-identical to an engine without the knob. *)
 let test_state_off_identical () =
   let w = lb_workload ~flows:11 ~per_flow:3 in
@@ -529,10 +609,9 @@ let churn_batch n =
          red ~src_octet:(1 + (f mod 200)) ~src_port:(2000 + f)))
 
 let occupancy rt =
-  Array.fold_left
-    (fun acc store ->
-      List.fold_left (fun acc (_, occ, _) -> acc + occ) acc (State_store.per_table store))
-    0 (Runtime.state_stores rt)
+  List.fold_left
+    (fun acc (_, occ, _) -> acc + occ)
+    0 (State_store.totals (Runtime.state_stores rt))
 
 let union_digest rt = State_store.digest (Runtime.state_stores rt)
 
@@ -618,6 +697,8 @@ let () =
         [
           Alcotest.test_case "eviction invalidates cached verdict" `Quick
             test_eviction_invalidates_cached_verdict;
+          Alcotest.test_case "counters monotone across configure" `Quick
+            test_counters_monotone_across_configure;
           Alcotest.test_case "state gauges in snapshot" `Quick
             test_state_gauges_in_snapshot;
           Alcotest.test_case "state off identical" `Quick

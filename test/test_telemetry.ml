@@ -241,8 +241,7 @@ let test_counters_content () =
   let workload = List.init n (fun i -> (0, frame_of_kind i i)) in
   let stats = Runtime.process_batch rt workload in
   check Alcotest.int "all emitted" n stats.Runtime.emitted;
-  let o = Option.get (Runtime.telemetry rt) in
-  let snap = Observe.snapshot o (Runtime.chip rt) in
+  let snap = Option.get (Runtime.snapshot rt) in
   check Alcotest.int "rx on port 0" n (count_of snap "port.0.rx");
   check Alcotest.int "tx on port 1" n (count_of snap "port.1.tx");
   check Alcotest.int "emitted counter" n (count_of snap "verdict.emitted");
