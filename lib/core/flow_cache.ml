@@ -477,12 +477,12 @@ let commit t ~frame ~(verdict : Asic.Chip.verdict) ~cpu_round_trips ~recircs
             }
       | Some _ | None -> t.stats.uncacheable <- t.stats.uncacheable + 1)
 
-(* Fold a replica cache's tallies into [into]'s stats. Entries stay
-   where they are — per-shard caches share nothing — so this only
-   keeps runtime-wide hit/miss accounting alive when the parallel
-   merge tears the replicas down. *)
-let merge_stats ~into src =
-  let a = into.stats and b = src.stats in
+(* Fold a retired cache's tallies ([stats] of a replica, or of a cache
+   being replaced) into [into]'s. Entries stay where they are —
+   per-shard caches share nothing — so this only keeps runtime-wide
+   hit/miss accounting alive when a cache is torn down. *)
+let merge_stats ~into b =
+  let a = into.stats in
   a.hits <- a.hits + b.hits;
   a.misses <- a.misses + b.misses;
   a.stale <- a.stale + b.stale;

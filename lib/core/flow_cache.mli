@@ -84,11 +84,12 @@ val commit :
 val abort : t -> unit
 (** Discard a pending recording (error outcomes). *)
 
-val merge_stats : into:t -> t -> unit
-(** Fold [src]'s stats tallies into [into]'s. Entries are not moved —
-    per-shard caches share nothing; used when replica caches are
-    discarded after a parallel batch, and when a resized cache
-    replaces its predecessor, so runtime-wide accounting survives. *)
+val merge_stats : into:t -> stats -> unit
+(** Add these tallies (another cache's {!stats}) into [into]'s. Entries
+    are not moved — per-shard caches share nothing; used when replica
+    caches are discarded after a parallel batch, and when a cache is
+    resized or re-enabled after being switched off, so runtime-wide
+    accounting survives. *)
 
 (** {2 Introspection for tests and benches} *)
 

@@ -107,6 +107,9 @@ type t = {
      persistent across batches (unlike replica chips); [||] when the
      engine's state knob is [No_state]. Shard d binds [stores.(d)]. *)
   mutable stores : State_store.t array;
+  (* Tallies of a cache switched off by [configure], folded into the
+     next cache it builds so [cache.*] counters never restart. *)
+  mutable retired_cache : Flow_cache.stats option;
   (* Control-plane update queue, drained onto the primary chip at batch
      boundaries. *)
   ctrl : Ctrl.queue;
@@ -296,8 +299,9 @@ let configure t (e : Engine.t) =
   (* Cache transitions: keep an unchanged cache (and its entries and
      stats) alive; anything else detaches the old recorders before
      building the replacement, so a chip never carries two sets of
-     hooks. A resized cache starts empty but inherits the old tallies,
-     so its counters never run backwards. *)
+     hooks. A resized or re-enabled cache starts empty but inherits the
+     old tallies (kept aside while the cache is off), so its counters
+     never run backwards. *)
   let cache =
     match (prev.Engine.cache, e.Engine.cache) with
     | Engine.Off, Engine.Off -> cache
@@ -305,12 +309,19 @@ let configure t (e : Engine.t) =
       when a = b && Option.is_some cache ->
         cache
     | _, Engine.Off ->
-        Option.iter Flow_cache.detach cache;
+        Option.iter
+          (fun c ->
+            Flow_cache.detach c;
+            t.retired_cache <- Some (Flow_cache.stats c))
+          cache;
         None
     | _, Engine.Emc { capacity } ->
         Option.iter Flow_cache.detach cache;
         let fresh = Flow_cache.create ~capacity chip in
-        Option.iter (Flow_cache.merge_stats ~into:fresh) cache;
+        let adopt = Flow_cache.merge_stats ~into:fresh in
+        Option.iter (fun c -> adopt (Flow_cache.stats c)) cache;
+        Option.iter adopt t.retired_cache;
+        t.retired_cache <- None;
         Some fresh
   in
   t.main <- { t.main with obs; cache }
@@ -326,6 +337,7 @@ let create ?(engine = Engine.default) compiled =
       main =
         { chip = compiled.Compiler.chip; handlers = Hashtbl.create 8; cache = None; obs = None };
       stores = [||];
+      retired_cache = None;
       ctrl = Ctrl.queue ();
     }
   in
@@ -714,7 +726,7 @@ let fold_back t sh =
       Observe.merge ~into:os.o ros.o
   | _ -> ());
   match (t.main.cache, sh.cache) with
-  | Some root, Some rc -> Flow_cache.merge_stats ~into:root rc
+  | Some root, Some rc -> Flow_cache.merge_stats ~into:root (Flow_cache.stats rc)
   | _ -> ()
 
 (* Shard-major merge. The combined digest chains the per-shard digests

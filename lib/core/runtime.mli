@@ -81,8 +81,9 @@ val configure : t -> Engine.t -> unit
     telemetry level or ring capacity actually changed, so flipping
     [exec_mode] or [domains] never wipes accumulated counters. The
     flow cache likewise survives unchanged [cache] knobs; any change
-    detaches the old cache's recorders and starts empty (keeping its
-    stats on a resize). The state stores survive an unchanged [state]
+    detaches the old cache's recorders and starts empty, keeping the
+    old tallies (on a resize, and across switching the cache off and
+    on again). The state stores survive an unchanged [state]
     knob at an unchanged shard count; a [domains] change under a live
     [Bounded] knob re-homes every entry and table tally to its new
     owner shard ({!State_store.migrate}); a knob change starts fresh. *)

@@ -69,41 +69,58 @@ type ientry = {
   mutable ehits : int;
 }
 
+(* Finalizer for index hashes: the splitmix64 mixer with its constants
+   truncated to OCaml's 63-bit int (still odd, so each multiply stays a
+   bijection). [Hashtbl] takes the bucket from the low bits, and masked
+   keys (a /24 has 8 zero low bits, a port-aligned key more) carry their
+   entropy high up; a multiply alone only moves entropy further up, so
+   each xorshift folds the high bits back down into the low ones. *)
+let mix h =
+  let h = (h lxor (h lsr 31)) * 0x3f58476d1ce4e5b9 in
+  let h = (h lxor (h lsr 27)) * 0x14d049bb133111eb in
+  (h lxor (h lsr 31)) land max_int
+
+(* Top-level loops rather than local [let rec go] closures over their
+   arguments: a closure is allocated per call, and these run per lookup
+   (per chain link, for [equal]). *)
+let rec words_equal a b i =
+  i < 0 || (Int64.equal a.(i) b.(i) && words_equal a b (i - 1))
+
 module H64 = Hashtbl.Make (struct
   type t = int64 array
 
   let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec go i = i < 0 || (Int64.equal a.(i) b.(i) && go (i - 1)) in
-    go (Array.length a - 1)
+    Array.length a = Array.length b && words_equal a b (Array.length a - 1)
 
-  (* Direct word mixing — the polymorphic hash walks the boxed array. *)
+  (* Direct word mixing — the polymorphic hash walks the boxed array.
+     Each word is folded in under a full-width odd multiplier so two
+     keys differing in a low word cannot cancel against a high one. *)
   let hash a =
-    let h = ref 5381 in
+    let h = ref 0 in
     for i = 0 to Array.length a - 1 do
-      let x = a.(i) in
-      h :=
-        (!h * 33)
-        lxor Int64.to_int x
-        lxor Int64.to_int (Int64.shift_right_logical x 32)
+      h := (!h lxor Int64.to_int a.(i)) * 0x1e3779b97f4a7c15
     done;
-    !h land max_int
+    mix !h
 end)
 
 module HI64 = Hashtbl.Make (struct
   type t = int64
 
   let equal = Int64.equal
-
-  let hash x =
-    (Int64.to_int x lxor Int64.to_int (Int64.shift_right_logical x 32))
-    land max_int
+  let hash x = mix (Int64.to_int x)
 end)
 
 (* One prefix length of the single-key LPM index. [gmask] is the prefix
-   mask over the declared key width; buckets key on the masked value. *)
-type lpm_group = { plen : int; gmask : int64; buckets : ientry list ref HI64.t }
+   mask over the declared key width; buckets key on the masked value.
+   [top] bounds the priority of every entry in the group: raised on
+   insert, never lowered (a group is dropped when it empties), so after
+   a delete it may be too high, which only gives up a skip. *)
+type lpm_group = {
+  plen : int;
+  gmask : int64;
+  mutable top : int;
+  buckets : ientry list ref HI64.t;
+}
 
 (* Staged index, maintained incrementally on insert AND delete:
    - [exact1]: single-key [M_exact] entries hashed on the bare value —
@@ -112,7 +129,8 @@ type lpm_group = { plen : int; gmask : int64; buckets : ientry list ref HI64.t }
    - [exact]: multi-key all-[M_exact] entries, hashed on the
      concatenated key values (numeric, like [Bitval.equal_value]).
    - [lpm]: single-key [M_lpm] entries bucketed by prefix length,
-     probed longest-first.
+     probed longest-first, skipping groups that cannot beat the best
+     hit so far (see [probe_lpm]).
    - [linear]: everything else (ternary, range, wildcards, mixed
      multi-key prefixes) — scanned with precomputed entry data.
    Deletion unlinks one entry from its partition bucket (and drops
@@ -338,11 +356,14 @@ let index_entry t ie =
   | S_exact1 k -> bucket_push idx.exact1 HI64.find_opt HI64.add k ie
   | S_exact k -> bucket_push idx.exact H64.find_opt H64.add k ie
   | S_lpm (plen, gmask, masked) ->
+      let prio = ie.e.priority in
       let group =
         match List.find_opt (fun g -> g.plen = plen) idx.lpm with
-        | Some g -> g
+        | Some g ->
+            if prio > g.top then g.top <- prio;
+            g
         | None ->
-            let g = { plen; gmask; buckets = HI64.create 16 } in
+            let g = { plen; gmask; top = prio; buckets = HI64.create 16 } in
             idx.lpm <-
               List.sort (fun a b -> compare b.plen a.plen) (g :: idx.lpm);
             g
@@ -608,10 +629,11 @@ let fold_best best l =
    whose fields carry different widths (never the case for composed
    programs, whose keys mirror the header declarations) falls back to a
    [Bitval.t]-level scan over every installed entry. *)
-let widths_match t vals =
-  let n = Array.length vals in
-  let rec go i = i >= n || (Bitval.width vals.(i) = t.kwidths.(i) && go (i + 1)) in
-  go 0
+let rec widths_from t vals i =
+  i >= Array.length vals
+  || (Bitval.width vals.(i) = t.kwidths.(i) && widths_from t vals (i + 1))
+
+let widths_match t vals = widths_from t vals 0
 
 let fold_matching_all t values =
   Hashtbl.fold
@@ -625,10 +647,11 @@ let fold_matching_all t values =
 
 let imatch1 ie v = ipat_matches ie.ipats.(0) v
 
-let imatch ie raw =
-  let n = Array.length ie.ipats in
-  let rec go i = i >= n || (ipat_matches ie.ipats.(i) raw.(i) && go (i + 1)) in
-  go 0
+let rec imatch_from ie raw i =
+  i >= Array.length ie.ipats
+  || (ipat_matches ie.ipats.(i) raw.(i) && imatch_from ie raw (i + 1))
+
+let imatch ie raw = imatch_from ie raw 0
 
 let fold_imatch1 best v l =
   List.fold_left
@@ -650,12 +673,24 @@ let fold_imatch best raw l =
       else best)
     best l
 
+(* Groups are probed longest-first, but priority ranks above length, so
+   a shorter group can still win. A group is skipped when the best hit
+   so far outranks every entry it could hold: a higher priority than
+   its [top], or the same priority and a strictly longer prefix (an
+   equal length falls through to the seq tie-break, so it is probed).
+   With uniform priorities, as in a FIB, the first hit skips the rest. *)
 let probe_lpm idx best v0 =
   List.fold_left
     (fun best g ->
-      match HI64.find_opt g.buckets (Int64.logand v0 g.gmask) with
-      | Some l -> fold_best best !l
-      | None -> best)
+      match best with
+      | Some b
+        when b.e.priority > g.top || (b.e.priority = g.top && b.lpm > g.plen)
+        ->
+          best
+      | _ -> (
+          match HI64.find_opt g.buckets (Int64.logand v0 g.gmask) with
+          | Some l -> fold_best best !l
+          | None -> best))
     best idx.lpm
 
 let lookup_ientry_raw t phv =
@@ -781,6 +816,14 @@ let merge_stats_from t ~src =
           | Some ie -> ie.ehits <- ie.ehits + sie.ehits
           | None -> ())
   | None, _ | _, None -> ()
+
+let index_stats t =
+  let idx = t.store.index in
+  ("exact1", HI64.stats idx.exact1)
+  :: ("exact", H64.stats idx.exact)
+  :: List.map
+       (fun g -> (Printf.sprintf "lpm/%d" g.plen, HI64.stats g.buckets))
+       idx.lpm
 
 let key_bits t = List.fold_left (fun acc k -> acc + k.width) 0 t.keys
 

@@ -124,10 +124,11 @@ val lookup : t -> Phv.t -> [ `Hit of entry | `Miss ]
     Served by a staged index maintained incrementally on
     {!add_entry}/{!clear}: all-exact entries are hash-indexed on their
     concatenated key values, single-key LPM entries are bucketed by
-    prefix length (probed longest-first), and only ternary/range/
-    wildcard entries take a linear scan — with per-entry masks, prefix
-    lengths, resolved actions and bound action data precomputed at
-    insert time. *)
+    prefix length (probed longest-first, skipping any group whose
+    highest priority cannot beat the best hit so far), and only
+    ternary/range/wildcard entries take a linear scan — with per-entry
+    masks, prefix lengths, resolved actions and bound action data
+    precomputed at insert time. *)
 
 val lookup_reference : t -> Phv.t -> [ `Hit of entry | `Miss ]
 (** The pre-index linear scan over every entry, kept as the oracle the
@@ -174,3 +175,10 @@ val key_bits : t -> int
 (** Total match key width in bits. *)
 
 val pp : Format.formatter -> t -> unit
+
+(**/**)
+
+val index_stats : t -> (string * Hashtbl.statistics) list
+(* Bucket statistics of each staged-index hash partition: ["exact1"],
+   ["exact"] and one ["lpm/<plen>"] per prefix-length group. For tests
+   that check hash quality by structure rather than by time. *)

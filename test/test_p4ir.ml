@@ -225,6 +225,102 @@ let test_table_lpm_longest_prefix () =
   ignore (Table.apply t phv);
   check Alcotest.int "short prefix fallback" 8 (Phv.get_int phv (fr "m" "b"))
 
+(* The LPM probe skips a prefix-length group only when the best hit so
+   far outranks every entry the group could hold. Priority still ranks
+   above length, equal length still falls through to insertion order,
+   and a group's priority bound may be stale after a delete. *)
+let test_table_lpm_skip_tiebreaks () =
+  let t =
+    mk_table ~max_size:32
+      ~keys:[ { Table.field = fr "m" "c"; kind = Table.Lpm; width = 32 } ] ()
+  in
+  let lpm ?(prio = 0) value plen arg =
+    { Table.priority = prio;
+      patterns = [ Table.M_lpm { value = bv 32 value; prefix_len = plen } ];
+      action = "set_b"; args = [ bv 16 arg ] }
+  in
+  let winner probe =
+    let phv = fresh_phv () in
+    Phv.set_int phv (fr "m" "c") probe;
+    ignore (Table.apply t phv);
+    (match (Table.lookup t phv, Table.lookup_reference t phv) with
+    | `Hit e1, `Hit e2 when e1 == e2 -> ()
+    | `Miss, `Miss -> ()
+    | _ -> Alcotest.failf "indexed and reference lookups disagree on %x" probe);
+    Phv.get_int phv (fr "m" "b")
+  in
+  must_add t (lpm 0x0A010200 24 24);
+  must_add t (lpm 0x0A010000 16 16);
+  check Alcotest.int "uniform priority: longest prefix" 24 (winner 0x0A010203);
+  (* A shorter group holding a higher priority must still be probed. *)
+  must_add t (lpm ~prio:2 0x0A000000 8 8);
+  check Alcotest.int "priority beats length" 8 (winner 0x0A010203);
+  (* Equal priority and equal length: the exact entry (full width, so
+     the same rank as a /32) loses to the earlier /32 by sequence. *)
+  must_add t (lpm ~prio:2 0x0A0102FF 32 32);
+  must_add t
+    { Table.priority = 2; patterns = [ Table.M_exact (bv 32 0x0A0102FF) ];
+      action = "set_b"; args = [ bv 16 99 ] };
+  check Alcotest.int "equal rank: earlier entry" 32 (winner 0x0A0102FF);
+  (* Delete the /8 group's top entry: its bound stays 2 (stale), the
+     lower entry left behind must not outrank the /24. *)
+  must_add t (lpm ~prio:1 0x0A000000 8 80);
+  check Alcotest.bool "del the group's top" true
+    (Result.is_ok (Table.del_entry t (lpm ~prio:2 0x0A000000 8 0)));
+  check Alcotest.int "stale bound, priority 1 wins" 80 (winner 0x0A010203);
+  must_add t (lpm ~prio:1 0x0A010200 24 124);
+  check Alcotest.int "stale bound, longer prefix wins" 124 (winner 0x0A010203)
+
+(* Hash quality, measured by structure rather than time: keys that are
+   aligned (masked prefixes, port-aligned values, 5-tuples varying only
+   in aligned words) must still spread over the index buckets. *)
+let test_index_hash_quality () =
+  let n = 4096 in
+  let load label keys pats =
+    let t =
+      Table.make ~name:label ~keys ~actions:[ Action.no_op ]
+        ~default:("NoAction", []) ~max_size:n ()
+    in
+    for i = 0 to n - 1 do
+      must_add t
+        { Table.priority = 0; patterns = pats i; action = "NoAction"; args = [] }
+    done;
+    let loaded =
+      List.filter
+        (fun (_, (s : Hashtbl.statistics)) -> s.Hashtbl.num_bindings > 0)
+        (Table.index_stats t)
+    in
+    check Alcotest.int (label ^ ": every key indexed") n
+      (List.fold_left
+         (fun acc (_, (s : Hashtbl.statistics)) -> acc + s.Hashtbl.num_bindings)
+         0 loaded);
+    List.iter
+      (fun (part, (s : Hashtbl.statistics)) ->
+        if s.Hashtbl.max_bucket_length > 16 then
+          Alcotest.failf "%s (%s): longest bucket %d over %d buckets" label
+            part s.Hashtbl.max_bucket_length s.Hashtbl.num_buckets)
+      loaded
+  in
+  let lpm_key = [ { Table.field = fr "m" "c"; kind = Table.Lpm; width = 32 } ] in
+  let prefix plen v =
+    [ Table.M_lpm { value = bv 32 v; prefix_len = plen } ]
+  in
+  load "/24s" lpm_key (fun i -> prefix 24 ((10 lsl 24) lor (i lsl 8)));
+  load "/20s" lpm_key (fun i -> prefix 20 ((10 lsl 24) lor (i lsl 12)));
+  load "port-aligned exact"
+    [ { Table.field = fr "m" "c"; kind = Table.Exact; width = 32 } ]
+    (fun i -> [ Table.M_exact (bv 32 (i lsl 8)) ]);
+  let five =
+    List.map
+      (fun (f, w) -> { Table.field = fr "f" f; kind = Table.Exact; width = w })
+      [ ("src", 32); ("dst", 32); ("proto", 8); ("sport", 16); ("dport", 16) ]
+  in
+  load "5-tuples" five (fun i ->
+      List.map
+        (fun (w, v) -> Table.M_exact (bv w v))
+        [ (32, (10 lsl 24) lor ((i lsr 6) lsl 8)); (32, 0xC0A80001); (8, 6);
+          (16, (i land 63) lsl 8); (16, 443) ])
+
 let test_table_range () =
   let t =
     mk_table ~keys:[ { Table.field = fr "m" "b"; kind = Table.Range; width = 16 } ] ()
@@ -351,13 +447,26 @@ let lookup_pattern_for (k : Table.key) ~v ~m =
   | Table.Lpm ->
       let plen = m mod (w + 1) in
       let pmask = if plen = 0 then 0 else ((1 lsl plen) - 1) lsl (w - plen) in
-      Table.M_lpm { value = bv w (v land pmask); prefix_len = plen }
+      (* A full-width LPM key may also hold an exact value: it ranks as
+         a /w, so it ties with the /w group on length. *)
+      if plen = w && (m / (w + 1)) land 1 = 1 then Table.M_exact (bv w (v land maxv))
+      else Table.M_lpm { value = bv w (v land pmask); prefix_len = plen }
   | Table.Ternary ->
       if m mod 5 = 0 then Table.M_any
       else Table.M_ternary { value = bv w (v land maxv); mask = bv w (m land maxv) }
   | Table.Range ->
       let lo = v land maxv in
       Table.M_range { lo = bv w lo; hi = bv w (min maxv (lo + (m land 0xff))) }
+
+(* Probe the key values an installed entry was drawn from: it matches
+   that entry, and with it every nested prefix and wildcard entry, so
+   several LPM groups (of mixed priorities) compete for the hit. *)
+let set_probe_from keys phv (_, v1, v2, _) =
+  List.iteri
+    (fun i (k : Table.key) ->
+      Phv.set_int phv k.Table.field
+        ((if i = 0 then v1 else v2) land ((1 lsl k.Table.width) - 1)))
+    keys
 
 let prop_indexed_lookup_matches_reference =
   QCheck.Test.make ~name:"indexed lookup = reference scan" ~count:500
@@ -366,8 +475,8 @@ let prop_indexed_lookup_matches_reference =
         (pair (int_bound 5)
            (list_of_size Gen.(int_bound 24)
               (quad small_nat small_nat small_nat (int_bound 0xffffff))))
-        (triple small_nat small_nat small_nat))
-    (fun ((cfg, raw_entries), (pa, pb, pc)) ->
+        (quad small_nat small_nat small_nat bool))
+    (fun ((cfg, raw_entries), (pa, pb, pc, from_entry)) ->
       let keys = lookup_key_configs.(cfg) in
       let t =
         Table.make ~name:"t" ~keys ~actions:[ Action.no_op ]
@@ -390,6 +499,9 @@ let prop_indexed_lookup_matches_reference =
       Phv.set_int phv (fr "m" "a") (pa land 0xff);
       Phv.set_int phv (fr "m" "b") (pb land 0xffff);
       Phv.set_int phv (fr "m" "c") pc;
+      if from_entry && raw_entries <> [] then
+        set_probe_from keys phv
+          (List.nth raw_entries (pc mod List.length raw_entries));
       match (Table.lookup t phv, Table.lookup_reference t phv) with
       | `Miss, `Miss -> true
       | `Hit e1, `Hit e2 -> e1 == e2
@@ -520,7 +632,9 @@ let test_stats_merge_after_churn () =
    incrementally must keep the staged index equivalent to the linear
    reference scan after every op — same physical hit entry, so
    priority, longest-prefix and insertion-order tie-breaks survive
-   deletions and in-place rebinds. *)
+   deletions and in-place rebinds. One op kind deletes the
+   highest-priority entry of a prefix length, leaving that LPM group's
+   priority bound stale. *)
 let prop_op_trace_matches_reference =
   QCheck.Test.make ~name:"add/del/mod trace: indexed lookup = reference scan"
     ~count:400
@@ -563,10 +677,25 @@ let prop_op_trace_matches_reference =
           in
           (* Dels and mods of absent keys legitimately error; the index
              must stay coherent either way. *)
-          (match op mod 4 with
+          (match op mod 5 with
           | 0 | 1 -> ignore (Table.add_entry t entry)
           | 2 -> ignore (Table.del_entry t entry)
-          | _ -> ignore (Table.mod_entry t entry));
+          | 3 -> ignore (Table.mod_entry t entry)
+          | _ -> (
+              let plen (e : Table.entry) =
+                match e.Table.patterns with
+                | Table.M_lpm { prefix_len; _ } :: _ -> prefix_len
+                | _ -> -1
+              in
+              let by_priority =
+                List.stable_sort
+                  (fun (a : Table.entry) (b : Table.entry) ->
+                    compare b.Table.priority a.Table.priority)
+                  (List.filter (fun e -> plen e = plen entry) (Table.entries t))
+              in
+              match by_priority with
+              | top :: _ -> ignore (Table.del_entry t top)
+              | [] -> ignore (Table.add_entry t entry)));
           agree ())
         raw_ops)
 
@@ -829,6 +958,9 @@ let () =
           Alcotest.test_case "exact hit/miss" `Quick test_table_exact_hit_miss;
           Alcotest.test_case "priority" `Quick test_table_priority;
           Alcotest.test_case "lpm longest prefix" `Quick test_table_lpm_longest_prefix;
+          Alcotest.test_case "lpm skip tie-breaks" `Quick
+            test_table_lpm_skip_tiebreaks;
+          Alcotest.test_case "index hash quality" `Quick test_index_hash_quality;
           Alcotest.test_case "range" `Quick test_table_range;
           Alcotest.test_case "capacity" `Quick test_table_capacity;
           Alcotest.test_case "entry validation" `Quick test_table_entry_validation;
